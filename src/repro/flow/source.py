@@ -119,8 +119,14 @@ def plan_flow_demands(
             raise ValueError("uniform traffic needs at least two nodes")
         duration = max(1, round(traffic.packets * mean))
         base, extra = divmod(traffic.packets, len(sources))
+        position = {name: i for i, name in enumerate(node_names)}
+        others = range(len(node_names) - 1)
         for src_index, src in enumerate(sources):
-            dst = rng.choice([name for name in node_names if name != src])
+            # One draw over the n-1 other nodes, skipping the source's
+            # slot: the same RNG call (and result) as choosing from the
+            # list of every name but ``src``, without building it.
+            pick = rng.choice(others)
+            dst = node_names[pick + (pick >= position[src])]
             packets = base + (1 if src_index < extra else 0)
             if packets == 0:
                 continue
@@ -174,14 +180,7 @@ class FlowSource(Component):
 
         self.on_window_done = on_window_done
         self.load: FlowLoadMap = fabric.enable_flow_coupling()
-        self.model = FlowModel(
-            fabric.params,
-            {
-                node: data["tier"]
-                for node, data in fabric.topology.graph.nodes(data=True)
-            },
-            self.load,
-        )
+        self.model = FlowModel(fabric.params, fabric.topology.tiers, self.load)
         # Per-group accumulators, filled at window deactivation.
         self._offered_packets = 0
         self._offered_bytes = 0

@@ -6,9 +6,9 @@
   pipeline, propagation.
 * :mod:`repro.net.switch` — per-hop switch latency model with optional
   finite-depth output queues (backpressure).
-* :mod:`repro.net.topology` — the Facebook-style multi-tier clos fabric
-  (on networkx) with traffic-locality path resolution used by the
-  Fig. 12(a) trace replay.
+* :mod:`repro.net.topology` — the Facebook-style multi-tier clos fabric:
+  closed-form ECMP path sets from host coordinates, plus the
+  traffic-locality path resolution used by the Fig. 12(a) trace replay.
 * :mod:`repro.net.fabric` — event-driven fabric instantiation: packets
   live-traverse one switch instance per topology node (the scenario
   layer's transport).

@@ -32,8 +32,6 @@ from __future__ import annotations
 from bisect import insort
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.faults.engine import OK, FaultInjector
 from repro.net.link import EthernetWire
 from repro.net.packet import Packet
@@ -123,7 +121,6 @@ class ClosFabric(Component):
         self.queue_depth = queue_depth
         self.drop_mode = drop_mode
         self.injector = injector
-        graph = self.topology.graph
         self.switches: Dict[str, Switch] = {
             node: Switch(
                 sim,
@@ -132,8 +129,8 @@ class ClosFabric(Component):
                 queue_depth=queue_depth,
                 drop_mode=drop_mode,
             )
-            for node, data in sorted(graph.nodes(data=True))
-            if data["tier"] != "host"
+            for node, tier in sorted(self.topology.tiers.items())
+            if tier != "host"
         }
         # Each host's uplink to its ToR serializes that host's departures.
         self._uplinks: Dict[str, Resource] = {}
@@ -141,8 +138,8 @@ class ClosFabric(Component):
         self._route_cache: Dict[Tuple[str, str], List[List[str]]] = {}
         # (src, dst, path index) -> precomputed per-hop transit plan:
         # the first-link label plus (switch, next_hop, wan?, label) per
-        # switch hop, so transit never re-reads graph node attributes
-        # or rebuilds link labels per packet.
+        # switch hop, so transit never re-reads node tiers or rebuilds
+        # link labels per packet.
         self._hop_plans: Dict[Tuple[str, str, int], tuple] = {}
         self._serialization_cache: Dict[int, int] = {}
         # Batched drain mode (see repro.sim.engine): the uplink claim is
@@ -190,14 +187,15 @@ class ClosFabric(Component):
     def route_paths(self, src: str, dst: str) -> List[List[str]]:
         """All equal-cost shortest paths between two hosts, sorted.
 
-        Enumerated once per host pair and cached; both per-packet ECMP
+        Derived once per host pair (in closed form, by
+        :meth:`ClosTopology.paths`) and cached; both per-packet ECMP
         hashing (:meth:`route`) and flow-level demand spreading
         (:class:`repro.flow.FlowSource`) read the same list, so the two
         fidelities agree on what the fabric looks like.
         """
         paths = self._route_cache.get((src, dst))
         if paths is None:
-            paths = sorted(nx.all_shortest_paths(self.topology.graph, src, dst))
+            paths = self.topology.paths(src, dst)
             self._route_cache[(src, dst)] = paths
         return paths
 
@@ -238,14 +236,10 @@ class ClosFabric(Component):
         plan = self._hop_plans.get(key)
         if plan is None:
             path = paths[index]
-            tiers = self.topology.graph.nodes
+            tiers = self.topology.tiers
             hops = []
             for node, next_hop in zip(path[1:-1], path[2:]):
-                wan_extra = (
-                    tiers[node]["tier"] == "edge"
-                    and next_hop in self.switches
-                    and tiers[next_hop]["tier"] == "edge"
-                )
+                wan_extra = tiers[node] == "edge" and tiers[next_hop] == "edge"
                 hops.append(
                     (self.switches[node], next_hop, wan_extra, f"{node}->{next_hop}")
                 )

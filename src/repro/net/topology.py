@@ -20,18 +20,21 @@ The traffic-pattern mix per cluster type follows the paper: database
 traffic is mostly inter-cluster and inter-datacenter, webserver mostly
 intra-datacenter, hadoop intra-cluster.
 
-The topology is held as a networkx graph so structural properties
-(path existence, hop counts, bisection) are checkable, while the
-latency math uses the per-hop switch model.
+Host names encode their coordinates (``dc{d}/c{c}/r{r}/h{h}``), so the
+equal-cost shortest paths between two hosts follow in closed form from
+their locality: one path per fabric switch inside a cluster, a fabric ×
+spine × fabric product inside a datacenter, and fabric × spine × spine ×
+fabric through the edge-router chain between datacenters.  The explicit
+wiring is kept as a plain link list, the reference those closed forms
+are checked against; the latency math uses the per-hop switch model.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import product
 from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.params import NetworkParams
 from repro.units import ns, transfer_time
@@ -80,52 +83,110 @@ class ClosTopology:
     ):
         self.config = config or ClosConfig()
         self.params = params or NetworkParams()
-        self.graph = nx.Graph()
+        self.tiers: Dict[str, str] = {}
+        """Node name → tier (``host``/``tor``/``fabric``/``spine``/``edge``)."""
+
+        self.links: List[Tuple[str, str]] = []
+        """The explicit wiring, one undirected link per pair."""
+
         self._build()
 
     # -- construction --------------------------------------------------------
 
     def _build(self) -> None:
         config = self.config
+        tiers = self.tiers
+        links = self.links
         for dc in range(config.datacenters):
             edge = f"dc{dc}/edge"
-            self.graph.add_node(edge, tier="edge")
+            tiers[edge] = "edge"
             for spine in range(config.spines):
                 spine_name = f"dc{dc}/spine{spine}"
-                self.graph.add_node(spine_name, tier="spine")
-                self.graph.add_edge(spine_name, edge)
+                tiers[spine_name] = "spine"
+                links.append((spine_name, edge))
             for cluster in range(config.clusters):
                 for fabric in range(config.fabric_per_cluster):
                     fabric_name = f"dc{dc}/c{cluster}/fab{fabric}"
-                    self.graph.add_node(fabric_name, tier="fabric")
+                    tiers[fabric_name] = "fabric"
                     for spine in range(config.spines):
-                        self.graph.add_edge(fabric_name, f"dc{dc}/spine{spine}")
+                        links.append((fabric_name, f"dc{dc}/spine{spine}"))
                 for rack in range(config.racks_per_cluster):
                     tor = f"dc{dc}/c{cluster}/r{rack}/tor"
-                    self.graph.add_node(tor, tier="tor")
+                    tiers[tor] = "tor"
                     for fabric in range(config.fabric_per_cluster):
-                        self.graph.add_edge(tor, f"dc{dc}/c{cluster}/fab{fabric}")
+                        links.append((tor, f"dc{dc}/c{cluster}/fab{fabric}"))
                     for host in range(config.hosts_per_rack):
                         host_name = f"dc{dc}/c{cluster}/r{rack}/h{host}"
-                        self.graph.add_node(host_name, tier="host")
-                        self.graph.add_edge(host_name, tor)
+                        tiers[host_name] = "host"
+                        links.append((host_name, tor))
         # Inter-DC connectivity through the edge routers.
         edges = [f"dc{dc}/edge" for dc in range(config.datacenters)]
-        for a, b in zip(edges, edges[1:]):
-            self.graph.add_edge(a, b)
+        links.extend(zip(edges, edges[1:]))
 
     # -- structural queries ---------------------------------------------------
 
     def hosts(self) -> List[str]:
         """All host node names."""
-        return sorted(
-            node for node, data in self.graph.nodes(data=True) if data["tier"] == "host"
-        )
+        return sorted(node for node, tier in self.tiers.items() if tier == "host")
 
     def switch_count(self, src: str, dst: str) -> int:
         """Number of switch/router hops on the shortest path."""
-        path = nx.shortest_path(self.graph, src, dst)
-        return sum(1 for node in path if self.graph.nodes[node]["tier"] != "host")
+        return sum(
+            1 for node in self.paths(src, dst)[0] if self.tiers[node] != "host"
+        )
+
+    def paths(self, src: str, dst: str) -> List[List[str]]:
+        """All equal-cost shortest paths between two hosts, sorted.
+
+        Closed form over the host coordinates: the ToRs are fixed by
+        the hosts, and every shortest path picks one fabric switch per
+        cluster it leaves or enters and one spine per datacenter it
+        crosses; inter-DC paths run through each edge router on the
+        ``dc0–dc1–…`` chain between the two datacenters.
+        """
+        for host in (src, dst):
+            if self.tiers.get(host) != "host":
+                raise ValueError(f"not a host of this topology: {host!r}")
+        if src == dst:
+            return [[src]]
+        locality = self.classify(src, dst)
+        src_dc, src_cluster, src_rack = self._coordinates(src)
+        dst_dc, dst_cluster, dst_rack = self._coordinates(dst)
+        src_tor = f"{src_dc}/{src_cluster}/{src_rack}/tor"
+        if locality is Locality.INTRA_RACK:
+            return [[src, src_tor, dst]]
+        dst_tor = f"{dst_dc}/{dst_cluster}/{dst_rack}/tor"
+        config = self.config
+        fabrics = range(config.fabric_per_cluster)
+        src_fabrics = [f"{src_dc}/{src_cluster}/fab{f}" for f in fabrics]
+        if locality is Locality.INTRA_CLUSTER:
+            routes = [[src, src_tor, fab, dst_tor, dst] for fab in src_fabrics]
+        else:
+            dst_fabrics = [f"{dst_dc}/{dst_cluster}/fab{f}" for f in fabrics]
+            src_spines = [f"{src_dc}/spine{s}" for s in range(config.spines)]
+            if locality is Locality.INTRA_DATACENTER:
+                routes = [
+                    [src, src_tor, up, spine, down, dst_tor, dst]
+                    for up, spine, down in product(
+                        src_fabrics, src_spines, dst_fabrics
+                    )
+                ]
+            else:
+                dst_spines = [f"{dst_dc}/spine{s}" for s in range(config.spines)]
+                first, last = int(src_dc[2:]), int(dst_dc[2:])
+                step = 1 if last > first else -1
+                chain = [f"dc{dc}/edge" for dc in range(first, last + step, step)]
+                routes = [
+                    [src, src_tor, up, out, *chain, into, down, dst_tor, dst]
+                    for up, out, into, down in product(
+                        src_fabrics, src_spines, dst_spines, dst_fabrics
+                    )
+                ]
+        if not routes:
+            raise ValueError(f"no path between {src!r} and {dst!r}")
+        # Plain string order ("fab10" before "fab2"), the ECMP indexing
+        # every flow id hashes into.
+        return sorted(routes)
 
     def classify(self, src: str, dst: str) -> Locality:
         """Locality class of a host pair from their names."""

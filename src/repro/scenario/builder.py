@@ -340,13 +340,11 @@ class Scenario:
             injector=self.injector,
         )
         placement: Dict[str, str] = {}
-        available = [
-            host for host in fabric.host_names()
-            if host not in {n.host for n in spec.nodes if n.host}
-        ]
+        bound = {n.host for n in spec.nodes if n.host}
+        available = [host for host in fabric.host_names() if host not in bound]
         for node_spec in spec.nodes:
             if node_spec.host is not None:
-                if node_spec.host not in fabric.topology.graph:
+                if topology.tiers.get(node_spec.host) != "host":
                     raise ValueError(
                         f"node {node_spec.name!r} binds to unknown host "
                         f"{node_spec.host!r}"

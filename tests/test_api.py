@@ -2,6 +2,10 @@
 deprecation shims at every old convenience path."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +151,22 @@ class TestTopLevelExports:
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             repro.warp_drive
+
+    def test_import_pulls_in_no_third_party_numerics(self):
+        """The package runs on the standard library alone: importing the
+        facade (and with it the clos fabric) loads neither networkx nor
+        numpy."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        probe = (
+            "import sys, repro.api, repro.net; "
+            "print(sorted({'networkx', 'numpy'} & set(sys.modules)))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestDeprecationShims:

@@ -1,7 +1,7 @@
 """Ethernet wire, switch, and clos topology models."""
 
-import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net import ClosTopology, EthernetWire, Locality, Switch
 from repro.net.topology import ClosConfig, SWITCH_HOPS
@@ -88,6 +88,137 @@ class TestSwitch:
         assert sim.now == switch.hop_latency(1514)
 
 
+def adjacency(topology):
+    """Node → neighbours, from the topology's explicit wiring."""
+    neighbours = {node: [] for node in topology.tiers}
+    for a, b in topology.links:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    return neighbours
+
+
+def connected(topology):
+    """Every node reachable from any one node over ``topology.links``."""
+    neighbours = adjacency(topology)
+    start = next(iter(neighbours))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for other in neighbours[frontier.pop()]:
+            if other not in seen:
+                seen.add(other)
+                frontier.append(other)
+    return len(seen) == len(neighbours)
+
+
+def bfs_shortest_paths(topology, src, dst):
+    """Oracle: every shortest ``src`` → ``dst`` path over the wiring,
+    sorted; empty when ``dst`` is unreachable."""
+    neighbours = adjacency(topology)
+    distance = {src: 0}
+    predecessors = {src: []}
+    frontier = [src]
+    while frontier and dst not in distance:
+        next_frontier = []
+        for node in frontier:
+            for other in neighbours[node]:
+                if other not in distance:
+                    distance[other] = distance[node] + 1
+                    predecessors[other] = [node]
+                    next_frontier.append(other)
+                elif distance[other] == distance[node] + 1:
+                    predecessors[other].append(node)
+        frontier = next_frontier
+    if dst not in distance:
+        return []
+
+    def walk(node):
+        if node == src:
+            return [[src]]
+        return [path + [node] for prev in predecessors[node] for path in walk(prev)]
+
+    return sorted(walk(dst))
+
+
+# Fabric and spine widths include 10/11, where string order puts
+# "fab10" before "fab2"; three and more datacenters route through a
+# chain of edge routers.
+clos_configs = st.builds(
+    ClosConfig,
+    racks_per_cluster=st.integers(min_value=1, max_value=3),
+    hosts_per_rack=st.integers(min_value=1, max_value=3),
+    clusters=st.integers(min_value=1, max_value=3),
+    fabric_per_cluster=st.sampled_from([1, 2, 3, 10, 11]),
+    spines=st.sampled_from([1, 2, 3, 10]),
+    datacenters=st.integers(min_value=1, max_value=4),
+)
+
+
+class TestClosPaths:
+    """The closed-form ECMP path sets against BFS over the wiring."""
+
+    wide = ClosTopology(ClosConfig(
+        racks_per_cluster=2, hosts_per_rack=2, clusters=2,
+        fabric_per_cluster=11, spines=10, datacenters=3,
+    ))
+
+    @settings(max_examples=100, deadline=None)
+    @given(clos_configs, st.data())
+    def test_paths_match_bfs_oracle(self, config, data):
+        topology = ClosTopology(config)
+        hosts = topology.hosts()
+        src = data.draw(st.sampled_from(hosts))
+        dst = data.draw(st.sampled_from(hosts))
+        assert topology.paths(src, dst) == bfs_shortest_paths(topology, src, dst)
+
+    @pytest.mark.parametrize(
+        "dst, locality, count",
+        [
+            ("dc0/c0/r0/h1", Locality.INTRA_RACK, 1),
+            ("dc0/c0/r1/h0", Locality.INTRA_CLUSTER, 11),
+            ("dc0/c1/r0/h0", Locality.INTRA_DATACENTER, 11 * 10 * 11),
+            ("dc1/c0/r0/h0", Locality.INTER_DATACENTER, 11 * 10 * 10 * 11),
+            ("dc2/c1/r1/h1", Locality.INTER_DATACENTER, 11 * 10 * 10 * 11),
+        ],
+    )
+    def test_every_locality_on_a_wide_fabric(self, dst, locality, count):
+        src = "dc0/c0/r0/h0"
+        assert self.wide.classify(src, dst) is locality
+        paths = self.wide.paths(src, dst)
+        assert len(paths) == count
+        assert paths == bfs_shortest_paths(self.wide, src, dst)
+        # Either direction of the edge chain.
+        assert self.wide.paths(dst, src) == bfs_shortest_paths(self.wide, dst, src)
+
+    def test_same_host_is_one_trivial_path(self):
+        assert self.wide.paths("dc1/c0/r1/h0", "dc1/c0/r1/h0") == [["dc1/c0/r1/h0"]]
+        assert self.wide.switch_count("dc1/c0/r1/h0", "dc1/c0/r1/h0") == 0
+
+    def test_fab10_sorts_before_fab2(self):
+        fabrics = [path[2] for path in self.wide.paths("dc0/c0/r0/h0", "dc0/c0/r1/h0")]
+        assert fabrics[:3] == ["dc0/c0/fab0", "dc0/c0/fab1", "dc0/c0/fab10"]
+
+    def test_inter_dc_switch_counts(self):
+        assert self.wide.switch_count("dc0/c0/r0/h0", "dc1/c0/r0/h0") == 8
+        assert self.wide.switch_count("dc0/c0/r0/h0", "dc2/c0/r0/h0") == 9
+
+    @pytest.mark.parametrize(
+        "name", ["dc0/c0/r0/h9", "dc0/spine0", "dc0/c0/r0/tor", "nowhere"]
+    )
+    def test_unknown_host_rejected(self, name):
+        with pytest.raises(ValueError, match="not a host"):
+            self.wide.paths("dc0/c0/r0/h0", name)
+        with pytest.raises(ValueError, match="not a host"):
+            self.wide.paths(name, "dc0/c0/r0/h0")
+
+    def test_unreachable_pair_rejected(self):
+        spineless = ClosTopology(ClosConfig(spines=0))
+        src, dst = "dc0/c0/r0/h0", "dc0/c1/r0/h0"
+        assert bfs_shortest_paths(spineless, src, dst) == []
+        with pytest.raises(ValueError, match="no path"):
+            spineless.paths(src, dst)
+
+
 class TestClosTopology:
     topology = ClosTopology()
 
@@ -100,7 +231,7 @@ class TestClosTopology:
         assert len(self.topology.hosts()) == expected
 
     def test_fabric_connected(self):
-        assert nx.is_connected(self.topology.graph)
+        assert connected(self.topology)
 
     def test_intra_rack_one_switch(self):
         assert self.topology.switch_count("dc0/c0/r0/h0", "dc0/c0/r0/h1") == 1
@@ -159,4 +290,4 @@ class TestClosTopology:
         small = ClosTopology(ClosConfig(racks_per_cluster=2, hosts_per_rack=2,
                                         clusters=1, datacenters=1))
         assert len(small.hosts()) == 4
-        assert nx.is_connected(small.graph)
+        assert connected(small)

@@ -7,15 +7,19 @@ fig12a's live-fabric and analytical replay modes.
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.__main__ import main as cli_main
 from repro.driver.registry import NIC_KINDS, make_node
 from repro.experiments import fig12a
+from repro.flow import plan_flow_demands
 from repro.params import DEFAULT, apply_overrides
+from repro.runtime.seeds import derive
 from repro.scenario import (
     FabricSpec,
     NodeSpec,
@@ -346,6 +350,42 @@ class TestHybridFidelity:
                 traffic=(TrafficSpec(kind="oneway", src=("a",), dst="b"),),
                 flow_update_interval_ns=0.0,
             )
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.sampled_from("abcdefghijk"), min_size=2, unique=True),
+        st.data(),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_uniform_destinations_match_list_draw(self, node_names, data, seed):
+        """Uniform flow destinations draw one index over the other n-1
+        nodes; the oracle is the list-of-others draw it replaced, so the
+        RNG stream and every demand stay bit-identical."""
+        sources = data.draw(st.lists(st.sampled_from(node_names), max_size=8))
+        packets = data.draw(st.integers(min_value=1, max_value=20))
+        index = data.draw(st.integers(min_value=0, max_value=3))
+        traffic = TrafficSpec(kind="uniform", packets=packets, src=tuple(sources),
+                              fidelity="flow")
+        demands = plan_flow_demands(
+            traffic, index, node_names, seed, DEFAULT.network
+        )
+        rng = random.Random(derive(f"traffic[{index}]", seed))
+        senders = sources or node_names
+        base, extra = divmod(packets, len(senders))
+        expected = []
+        for src_index, src in enumerate(senders):
+            dst = rng.choice([name for name in node_names if name != src])
+            if base + (1 if src_index < extra else 0):
+                expected.append((src, dst))
+        assert [(d.src, d.dst) for d in demands] == expected
+
+    def test_node_bound_to_a_switch_rejected(self):
+        spec = hybrid_parity_spec("packet")
+        document = spec.to_dict()
+        document["nodes"][0]["host"] = "dc0/c0/r0/tor"
+        with pytest.raises(ValueError, match="binds to unknown host"):
+            build_scenario(ScenarioSpec.from_dict(document))
 
 
 class TestStrictNestedValidation:
