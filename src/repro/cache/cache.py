@@ -12,7 +12,8 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional
 
 from repro.units import CACHELINE
 
@@ -56,8 +57,19 @@ class _Line:
     flags: Dict[str, bool] = field(default_factory=dict)
 
 
+_NO_LINES: Mapping[int, _Line] = MappingProxyType({})
+"""The read-only view every untouched set is read through."""
+
+
 class SetAssociativeCache:
-    """A tag array of ``num_lines`` 64 B lines with ``ways`` associativity."""
+    """A tag array of ``num_lines`` 64 B lines with ``ways`` associativity.
+
+    Sets materialize on first fill: ``_sets`` maps a set index to its
+    ``{tag: line}`` dict and has no entry for a set nothing was ever
+    filled into, so building a 32 MiB DDIO slice costs O(1), not
+    O(num_sets).  Reads of an untouched set go through one shared,
+    read-only empty mapping.
+    """
 
     def __init__(
         self,
@@ -76,7 +88,7 @@ class SetAssociativeCache:
         self.num_sets = num_lines // ways
         self.policy = policy
         self._rng = random.Random(seed)
-        self._sets: List[Dict[int, _Line]] = [dict() for _ in range(self.num_sets)]
+        self._sets: Dict[int, Dict[int, _Line]] = {}
         self._seq = 0
         self.stats = CacheStats()
 
@@ -92,7 +104,7 @@ class SetAssociativeCache:
     def lookup(self, address: int, touch: bool = True) -> bool:
         """Whether ``address`` is present; counts a hit or miss."""
         set_index, tag = self._index(address)
-        line = self._sets[set_index].get(tag)
+        line = self._sets.get(set_index, _NO_LINES).get(tag)
         if line is None:
             self.stats.misses += 1
             return False
@@ -105,7 +117,7 @@ class SetAssociativeCache:
     def contains(self, address: int) -> bool:
         """Presence test without touching stats or recency."""
         set_index, tag = self._index(address)
-        return tag in self._sets[set_index]
+        return tag in self._sets.get(set_index, _NO_LINES)
 
     def fill(self, address: int, **flags: bool) -> Optional[int]:
         """Insert ``address``; returns the evicted line's address (or None).
@@ -114,7 +126,9 @@ class SetAssociativeCache:
         ``first_line`` flag to gate its prefetcher, Sec. 4.1).
         """
         set_index, tag = self._index(address)
-        lines = self._sets[set_index]
+        lines = self._sets.get(set_index)
+        if lines is None:
+            lines = self._sets[set_index] = {}
         self._seq += 1
         if tag in lines:
             line = lines[tag]
@@ -143,8 +157,9 @@ class SetAssociativeCache:
     def invalidate(self, address: int) -> bool:
         """Drop ``address`` if present; True if it was present."""
         set_index, tag = self._index(address)
-        if tag in self._sets[set_index]:
-            del self._sets[set_index][tag]
+        lines = self._sets.get(set_index, _NO_LINES)
+        if tag in lines:
+            del lines[tag]
             self.stats.invalidations += 1
             return True
         return False
@@ -156,13 +171,13 @@ class SetAssociativeCache:
         (the nCache snoops a whole write's worth of lines at once):
         one call, one stats update, identical counter totals.
         """
-        sets = self._sets
+        sets_get = self._sets.get
         num_sets = self.num_sets
         line_bytes = self.line_bytes
         dropped = 0
         for address in addresses:
             line = address // line_bytes
-            lines = sets[line % num_sets]
+            lines = sets_get(line % num_sets, _NO_LINES)
             tag = line // num_sets
             if tag in lines:
                 del lines[tag]
@@ -174,7 +189,7 @@ class SetAssociativeCache:
     def get_flag(self, address: int, flag: str) -> bool:
         """Read a per-line boolean flag (False if line absent)."""
         set_index, tag = self._index(address)
-        line = self._sets[set_index].get(tag)
+        line = self._sets.get(set_index, _NO_LINES).get(tag)
         if line is None:
             return False
         return line.flags.get(flag, False)
@@ -182,13 +197,13 @@ class SetAssociativeCache:
     def set_flag(self, address: int, flag: str, value: bool) -> None:
         """Write a per-line boolean flag (no-op if line absent)."""
         set_index, tag = self._index(address)
-        line = self._sets[set_index].get(tag)
+        line = self._sets.get(set_index, _NO_LINES).get(tag)
         if line is not None:
             line.flags[flag] = value
 
     def occupancy(self) -> int:
         """Number of valid lines."""
-        return sum(len(lines) for lines in self._sets)
+        return sum(len(lines) for lines in self._sets.values())
 
     def occupancy_fraction(self) -> float:
         """Valid lines / capacity."""

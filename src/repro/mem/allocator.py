@@ -10,14 +10,15 @@ returned (the clone then degrades to PSM or GCM).
 The allocator keeps per-(rank, bank, sub-array)-class state, lazily
 materialized: each class holds at most 256 pages (128 rows x 2 pages per
 8 KB rank-row), tracked as a bump pointer plus a free list of returned
-pages.  This keeps a 16 GB zone's allocator O(classes touched), not
-O(4M pages), and makes both hinted and unhinted allocation O(1).
+pages.  Unhinted allocation walks the classes round-robin with a
+cursor and a set of classes found empty, not a 16,384-entry queue.
+This keeps a 16 GB zone's allocator O(classes touched), not O(4M
+pages), and makes hinted allocation O(1).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.dram.geometry import DRAMGeometry, RANK_ROW_BYTES, ROWS_PER_SUBARRAY
 from repro.mem.zones import MemoryZone
@@ -59,16 +60,14 @@ class PageAllocator:
                 f"({geometry.capacity_bytes:#x})"
             )
         self._classes: Dict[int, _ClassState] = {}
-        self._class_rotation: Deque[int] = deque()
         self._allocated: set[int] = set()
         self.free_pages = zone.num_pages
-        if geometry is None:
-            self._rotation_initialized = True
-            self._class_rotation.append(0)
-            self._total_classes = 1
-        else:
-            self._rotation_initialized = False
-            self._total_classes = geometry.subarray_classes
+        self._total_classes = 1 if geometry is None else geometry.subarray_classes
+        self._cursor = 0
+        """The class unhinted allocation tries next."""
+        self._exhausted: Set[int] = set()
+        """Classes unhinted allocation found empty; it never revisits
+        them, even after :meth:`free_page` returns a page to one."""
 
     # -- address <-> class arithmetic -----------------------------------------
 
@@ -140,38 +139,35 @@ class PageAllocator:
         if state.returned:
             address = state.returned.pop()
         else:
-            address = None
             limit = self._pages_in_class(subarray_class)
-            while state.next_index < limit:
-                candidate = self._page_of_class(subarray_class, state.next_index)
-                state.next_index += 1
-                if candidate is not None:
-                    address = candidate
-                    break
-            if address is None:
+            if state.next_index >= limit:
                 return None
+            address = self._page_of_class(subarray_class, state.next_index)
+            if address is None:
+                # A class's addresses grow with its page index, so the
+                # first page past the zone's end leaves none inside it.
+                state.next_index = limit
+                return None
+            state.next_index += 1
         self._allocated.add(address)
         self.free_pages -= 1
         return address
 
-    def _ensure_rotation(self) -> None:
-        if not self._rotation_initialized:
-            self._class_rotation.extend(range(self._total_classes))
-            self._rotation_initialized = True
-
     def _pop_any(self) -> int:
-        self._ensure_rotation()
-        attempts = len(self._class_rotation)
-        while attempts and self._class_rotation:
-            subarray_class = self._class_rotation[0]
+        total = self._total_classes
+        exhausted = self._exhausted
+        while len(exhausted) < total:
+            subarray_class = self._cursor
+            # Advance past this class either way, so consecutive unhinted
+            # allocations spread over classes (keeps banks balanced, like
+            # page interleaving).
+            self._cursor = (subarray_class + 1) % total
+            if subarray_class in exhausted:
+                continue
             address = self.alloc_page_in_class(subarray_class)
             if address is not None:
-                # Rotate so consecutive unhinted allocations spread over
-                # classes (keeps banks balanced, like page interleaving).
-                self._class_rotation.rotate(-1)
                 return address
-            self._class_rotation.popleft()
-            attempts -= 1
+            exhausted.add(subarray_class)
         raise OutOfMemoryError(f"zone {self.zone.name} exhausted")
 
     def free_page(self, address: int) -> None:

@@ -45,19 +45,25 @@ class DescriptorRing:
     ``head`` is the producer cursor, ``tail`` the consumer cursor.  The
     ring is empty when ``head == tail`` and full when advancing ``head``
     would collide with ``tail`` (one slot is sacrificed, as in e1000).
+
+    ``slots`` always has ``size`` entries, but a slot's
+    :class:`Descriptor` is created the first time :meth:`produce` fills
+    it (until then the entry is None) and reused on every later wrap, so
+    building a ring creates no descriptors.  :meth:`peek` and
+    :meth:`consume` only reach produced slots.
     """
 
     size: int = 256
     base_address: int = 0
     head: int = 0
     tail: int = 0
-    slots: List[Descriptor] = field(default_factory=list)
+    slots: List[Optional[Descriptor]] = field(default_factory=list)
 
     def __post_init__(self):
         if self.size < 2:
             raise ValueError("ring needs at least 2 slots")
         if not self.slots:
-            self.slots = [Descriptor() for _ in range(self.size)]
+            self.slots = [None] * self.size
         elif len(self.slots) != self.size:
             raise ValueError("slots length must match ring size")
 
@@ -102,6 +108,8 @@ class DescriptorRing:
             raise RingFullError("descriptor ring full")
         index = self.head
         slot = self.slots[index]
+        if slot is None:
+            slot = self.slots[index] = Descriptor()
         slot.buffer_address = buffer_address
         slot.size_bytes = size_bytes
         slot.ready = True

@@ -1,7 +1,11 @@
 """Generic cache, DDIO partition, and hierarchy latency model."""
 
+import dataclasses
+import random
+from typing import Dict, List
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.cache import (
     CacheHierarchyModel,
@@ -9,6 +13,7 @@ from repro.cache import (
     ReplacementPolicy,
     SetAssociativeCache,
 )
+from repro.cache.cache import CacheStats
 from repro.params import CacheParams
 from repro.units import CACHELINE
 
@@ -117,6 +122,185 @@ class TestSetAssociativeCache:
             cache.fill(index * CACHELINE)
         for index in line_indices:
             assert cache.contains(index * CACHELINE)
+
+
+class _EagerLine:
+    def __init__(self, tag, seq, flags):
+        self.tag = tag
+        self.inserted_seq = seq
+        self.touched_seq = seq
+        self.flags = dict(flags)
+
+
+class _EagerCache:
+    """The eager tag array: one dict per set, all built up front.
+
+    The reference :class:`SetAssociativeCache` must match step for step;
+    only where the sets live may differ.
+    """
+
+    def __init__(self, num_lines, ways, policy, seed):
+        self.ways = ways
+        self.num_sets = num_lines // ways
+        self.policy = policy
+        self._rng = random.Random(seed)
+        self._sets: List[Dict[int, _EagerLine]] = [dict() for _ in range(self.num_sets)]
+        self._seq = 0
+        self.stats = CacheStats()
+
+    def _index(self, address):
+        line = address // CACHELINE
+        return line % self.num_sets, line // self.num_sets
+
+    def lookup(self, address, touch=True):
+        set_index, tag = self._index(address)
+        line = self._sets[set_index].get(tag)
+        if line is None:
+            self.stats.misses += 1
+            return False
+        self.stats.hits += 1
+        if touch:
+            self._seq += 1
+            line.touched_seq = self._seq
+        return True
+
+    def contains(self, address):
+        set_index, tag = self._index(address)
+        return tag in self._sets[set_index]
+
+    def fill(self, address, **flags):
+        set_index, tag = self._index(address)
+        lines = self._sets[set_index]
+        self._seq += 1
+        if tag in lines:
+            lines[tag].touched_seq = self._seq
+            lines[tag].flags.update(flags)
+            return None
+        victim_address = None
+        if len(lines) >= self.ways:
+            if self.policy is ReplacementPolicy.RANDOM:
+                victim_tag = self._rng.choice(sorted(lines))
+            elif self.policy is ReplacementPolicy.FIFO:
+                victim_tag = min(lines.values(), key=lambda line: line.inserted_seq).tag
+            else:
+                victim_tag = min(lines.values(), key=lambda line: line.touched_seq).tag
+            del lines[victim_tag]
+            self.stats.evictions += 1
+            victim_address = (victim_tag * self.num_sets + set_index) * CACHELINE
+        lines[tag] = _EagerLine(tag, self._seq, flags)
+        self.stats.fills += 1
+        return victim_address
+
+    def invalidate(self, address):
+        set_index, tag = self._index(address)
+        if tag in self._sets[set_index]:
+            del self._sets[set_index][tag]
+            self.stats.invalidations += 1
+            return True
+        return False
+
+    def invalidate_many(self, addresses):
+        dropped = 0
+        for address in addresses:
+            set_index, tag = self._index(address)
+            lines = self._sets[set_index]
+            if tag in lines:
+                del lines[tag]
+                dropped += 1
+        if dropped:
+            self.stats.invalidations += dropped
+        return dropped
+
+    def get_flag(self, address, flag):
+        set_index, tag = self._index(address)
+        line = self._sets[set_index].get(tag)
+        return False if line is None else line.flags.get(flag, False)
+
+    def set_flag(self, address, flag, value):
+        set_index, tag = self._index(address)
+        line = self._sets[set_index].get(tag)
+        if line is not None:
+            line.flags[flag] = value
+
+    def occupancy(self):
+        return sum(len(lines) for lines in self._sets)
+
+
+_SHAPES = [(1, 1), (4, 4), (8, 2), (64, 4), (4096, 2), (16384, 16)]
+_FLAGS = ("first_line", "dirty")
+
+
+@st.composite
+def _cache_programs(draw):
+    num_lines, ways = draw(st.sampled_from(_SHAPES))
+    num_sets = num_lines // ways
+    # A few sets (both ends and the middle) and a few more tags than
+    # ways, so sets fill, evict and hit; the byte offset exercises the
+    # line arithmetic.
+    sets = sorted({0, num_sets // 2, num_sets - 1})
+    addresses = st.builds(
+        lambda set_index, tag, offset: (tag * num_sets + set_index) * CACHELINE + offset,
+        st.sampled_from(sets),
+        st.integers(0, 2 * ways + 1),
+        st.integers(0, CACHELINE - 1),
+    )
+    flag_names = st.sampled_from(_FLAGS)
+    fill = st.tuples(
+        st.just("fill"), addresses, st.dictionaries(flag_names, st.booleans(), max_size=2)
+    )
+    operation = st.one_of(
+        fill,
+        fill,
+        st.tuples(st.just("lookup"), addresses, st.booleans()),
+        st.tuples(st.just("contains"), addresses),
+        st.tuples(st.just("invalidate"), addresses),
+        st.tuples(st.just("invalidate_many"), st.lists(addresses, max_size=6)),
+        st.tuples(st.just("get_flag"), addresses, flag_names),
+        st.tuples(st.just("set_flag"), addresses, flag_names, st.booleans()),
+    )
+    policy = draw(st.sampled_from(list(ReplacementPolicy)))
+    seed = draw(st.integers(0, 2**16))
+    # Long enough to fill and evict: hypothesis keeps unsized lists short.
+    length = draw(st.integers(0, 150))
+    program = draw(st.lists(operation, min_size=length, max_size=length))
+    return num_lines, ways, policy, seed, program
+
+
+class TestLazySetsMatchEagerOracle:
+    """Sets that materialize on first fill change nothing observable."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_cache_programs())
+    def test_every_step_matches(self, case):
+        num_lines, ways, policy, seed, program = case
+        cache = SetAssociativeCache(num_lines=num_lines, ways=ways, policy=policy, seed=seed)
+        oracle = _EagerCache(num_lines, ways, policy, seed)
+        for step, (name, *args) in enumerate(program):
+            if name == "fill":
+                address, flags = args
+                got, want = cache.fill(address, **flags), oracle.fill(address, **flags)
+            elif name == "lookup":
+                address, touch = args
+                got = cache.lookup(address, touch=touch)
+                want = oracle.lookup(address, touch=touch)
+            else:
+                got, want = getattr(cache, name)(*args), getattr(oracle, name)(*args)
+            assert got == want, (step, name, args)
+            assert dataclasses.asdict(cache.stats) == dataclasses.asdict(oracle.stats), step
+            assert cache.occupancy() == oracle.occupancy(), step
+
+    def test_untouched_sets_stay_unbuilt(self):
+        cache = SetAssociativeCache(num_lines=16384, ways=16)
+        assert not cache.lookup(0x4000)
+        assert not cache.contains(0x8000)
+        assert not cache.invalidate(0xC000)
+        assert cache.invalidate_many(range(0, 64 * CACHELINE, CACHELINE)) == 0
+        cache.set_flag(0x10000, "first_line", True)
+        assert not cache.get_flag(0x10000, "first_line")
+        assert cache._sets == {}
+        cache.fill(0x4000)
+        assert len(cache._sets) == 1
+        assert cache.occupancy() == 1
 
 
 class TestDDIOPartition:

@@ -1,12 +1,14 @@
 """The sub-array-affine page allocator (__alloc_netdimm_pages)."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dram.geometry import DRAMGeometry
 from repro.mem.allocator import OutOfMemoryError, PageAllocator, PAGES_PER_CLASS
 from repro.mem.zones import MemoryZone, ZoneKind
-from repro.units import GB, MB, PAGE
+from repro.units import GB, KB, MB, PAGE
 
 
 def net_zone(size=16 * GB, base=16 * MB):
@@ -162,3 +164,147 @@ class TestNormalZoneAllocator:
         a = allocator.alloc_page()
         b = allocator.alloc_page()
         assert allocator.same_subarray(a, b)
+
+
+class _DequeRotationAllocator(PageAllocator):
+    """Unhinted allocation through an eager queue of every class.
+
+    The front class is tried; a hit rotates it to the back, a miss drops
+    it for good.  The cursor rotation must reproduce this order exactly.
+    """
+
+    def __init__(self, zone, geometry=None):
+        super().__init__(zone, geometry)
+        self._class_rotation = deque(range(self.subarray_classes()))
+
+    def _pop_any(self):
+        attempts = len(self._class_rotation)
+        while attempts and self._class_rotation:
+            subarray_class = self._class_rotation[0]
+            address = self.alloc_page_in_class(subarray_class)
+            if address is not None:
+                self._class_rotation.rotate(-1)
+                return address
+            self._class_rotation.popleft()
+            attempts -= 1
+        raise OutOfMemoryError(f"zone {self.zone.name} exhausted")
+
+
+def small_net_zone():
+    """256 KB from the DIMM's base: 32 of 8 K classes hold 2 pages each,
+    every other class holds none."""
+    return MemoryZone(name="NET0", kind=ZoneKind.NET, base=0, size=256 * KB,
+                      netdimm_index=0)
+
+
+_ZONES = {
+    "net": (small_net_zone, lambda: DRAMGeometry(ranks=1)),
+    "normal": (lambda: normal_zone(size=16 * PAGE), lambda: None),
+}
+
+
+@st.composite
+def _allocator_programs(draw, zone):
+    page = st.integers(0, zone.num_pages - 1).map(lambda i: zone.base + i * PAGE)
+    classes = st.one_of(
+        st.integers(0, 3),
+        st.sampled_from([16, 17, 512, 513, 8191]),
+        st.integers(0, 8191),
+    )
+    operation = st.one_of(
+        st.tuples(st.just("alloc")),
+        st.tuples(st.just("alloc")),
+        st.tuples(st.just("alloc_hint"), st.one_of(page, st.just(zone.end + PAGE))),
+        st.tuples(st.just("alloc_in_class"), classes),
+        st.tuples(st.just("free"), st.integers(0, 2**16)),
+    )
+    # Long enough to run the zone dry: hypothesis keeps unsized lists short.
+    length = draw(st.integers(0, 300))
+    return draw(st.lists(operation, min_size=length, max_size=length))
+
+
+class TestCursorRotationMatchesDequeOracle:
+    """Unhinted allocation keeps the eager queue's order and failures."""
+
+    @staticmethod
+    def _step(allocator, held, name, arg):
+        try:
+            if name == "alloc":
+                address = allocator.alloc_page()
+            elif name == "alloc_hint":
+                address = allocator.alloc_page(hint=arg)
+            elif name == "alloc_in_class":
+                if arg >= allocator.subarray_classes():
+                    return "skip"
+                address = allocator.alloc_page_in_class(arg)
+            else:
+                if not held:
+                    return "skip"
+                address = held.pop(arg % len(held))
+                allocator.free_page(address)
+                return ("freed", address)
+        except OutOfMemoryError:
+            return "oom"
+        if address is not None:
+            held.append(address)
+        return address
+
+    @pytest.mark.parametrize("zone_kind", sorted(_ZONES))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_every_step_matches(self, zone_kind, data):
+        make_zone, make_geometry = _ZONES[zone_kind]
+        program = data.draw(_allocator_programs(make_zone()))
+        allocator = PageAllocator(make_zone(), make_geometry())
+        oracle = _DequeRotationAllocator(make_zone(), make_geometry())
+        held, oracle_held = [], []
+        for step, (name, *args) in enumerate(program):
+            arg = args[0] if args else None
+            got = self._step(allocator, held, name, arg)
+            want = self._step(oracle, oracle_held, name, arg)
+            assert got == want, (step, name, arg)
+            assert allocator.free_pages == oracle.free_pages, step
+            assert allocator.allocated_pages == oracle.allocated_pages, step
+
+    def test_freed_page_in_dropped_class_is_not_reached_unhinted(self):
+        allocator = PageAllocator(small_net_zone(), DRAMGeometry(ranks=1))
+        drained = []
+        while (address := allocator.alloc_page_in_class(0)) is not None:
+            drained.append(address)
+        assert len(drained) == 2
+        # The cursor starts at class 0, finds it empty and drops it.
+        assert allocator.class_of(allocator.alloc_page()) == 1
+        allocator.free_page(drained[0])
+        while allocator.free_pages > 1:
+            assert allocator.class_of(allocator.alloc_page()) != 0
+        with pytest.raises(OutOfMemoryError):
+            allocator.alloc_page()
+        assert allocator.free_pages == 1
+        # A hint still reaches the page.
+        assert allocator.alloc_page(hint=drained[0]) == drained[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 4096),
+        st.one_of(
+            st.builds(lambda bank, low: bank * 512 + low, st.integers(0, 15), st.integers(0, 1)),
+            st.integers(0, 8191),
+        ),
+    )
+    def test_class_drains_in_page_order(self, zone_pages, subarray_class):
+        """Draining a class yields every in-zone page of it, in index
+        order, then None (a class's pages grow with the index, so the
+        first page past the zone's end ends the class)."""
+        zone = MemoryZone(name="NET0", kind=ZoneKind.NET, base=0,
+                          size=zone_pages * PAGE, netdimm_index=0)
+        allocator = PageAllocator(zone, DRAMGeometry(ranks=1))
+        expected = [
+            address
+            for index in range(PAGES_PER_CLASS)
+            if (address := allocator._page_of_class(subarray_class, index)) is not None
+        ]
+        drained = []
+        while (address := allocator.alloc_page_in_class(subarray_class)) is not None:
+            drained.append(address)
+        assert drained == expected
+        assert allocator.alloc_page_in_class(subarray_class) is None

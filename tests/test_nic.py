@@ -91,6 +91,49 @@ class TestDescriptorRing:
                 consumed += 1
         assert ring.occupancy == produced - consumed
 
+    def test_slots_sized_to_ring(self):
+        ring = DescriptorRing(size=16)
+        assert len(ring.slots) == 16
+
+    def test_caller_slots_validated(self):
+        slots = [Descriptor() for _ in range(4)]
+        assert DescriptorRing(size=4, slots=slots).slots is slots
+        with pytest.raises(ValueError):
+            DescriptorRing(size=8, slots=slots)
+
+    def test_slot_keeps_its_descriptor_across_wraps(self):
+        ring = DescriptorRing(size=4)
+        ring.produce(0x1000, 64)
+        first = ring.consume()
+        for round_ in range(1, 9):
+            index = ring.produce(round_, 64)
+            descriptor = ring.consume()
+            assert descriptor is ring.slots[index]
+            if index == 0:
+                assert descriptor is first
+                assert descriptor.buffer_address == round_
+
+    @given(st.lists(st.booleans(), max_size=100))
+    def test_only_produced_slots_are_seen(self, operations):
+        ring = DescriptorRing(size=8)
+        pending = []
+        for sequence, is_produce in enumerate(operations):
+            if is_produce and not ring.is_full:
+                ring.produce(sequence, 64, cookie=sequence)
+                pending.append(sequence)
+            elif not is_produce:
+                head = ring.peek()
+                if not pending:
+                    assert head is None
+                    with pytest.raises(IndexError):
+                        ring.consume()
+                    continue
+                assert head is not None and head.ready
+                assert head.cookie == pending[0]
+                descriptor = ring.consume()
+                assert descriptor is head
+                assert descriptor.buffer_address == pending.pop(0)
+
 
 class TestRegisterFiles:
     def test_peek_poke_shared_state(self, sim):
