@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.targets import PAPER_TARGETS, aggregate_loss
 from repro.calib.space import nested_overrides
+from repro.experiments.oneway import one_way_memo
 from repro.params import DEFAULT, apply_overrides
 
 __all__ = [
@@ -118,12 +119,17 @@ def evaluate_candidate(
     a candidate that breaks the simulation, a metric the experiment
     did not emit — propagates as an exception for the runtime's shard
     fence to capture as structured diagnostics.
+
+    The experiments run inside one :func:`one_way_memo`, so a one-way
+    point that two figures share (Fig. 4 and Fig. 11 both measure dNIC
+    and iNIC at 10–2000 B) is simulated once per call.
     """
     params = apply_overrides(DEFAULT, nested_overrides(overrides))
     metrics: Dict[str, float] = {}
-    for figure in experiments_for(target_names):
-        module = importlib.import_module(f"repro.experiments.{figure}")
-        metrics.update(module.run(params=params).metrics())
+    with one_way_memo():
+        for figure in experiments_for(target_names):
+            module = importlib.import_module(f"repro.experiments.{figure}")
+            metrics.update(module.run(params=params).metrics())
     loss, per_target = aggregate_loss(metrics, names=target_names)
     return {
         "overrides": {name: int(overrides[name]) for name in sorted(overrides)},

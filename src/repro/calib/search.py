@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.calib.evaluate import select_targets
 from repro.calib.space import SearchSpace, param_id
-from repro.runtime.backends import SweepConfig
+from repro.runtime.backends import Backend, SweepConfig, make_backend
 from repro.runtime.job import Job
 from repro.runtime.state import RunState
 from repro.runtime.tasks import Outcome, ShardResult, Task
@@ -272,8 +272,10 @@ def _run_round(
     target_names: Sequence[str],
     base_seed: int,
     config: SweepConfig,
+    backend: Backend,
 ) -> List[Outcome]:
-    """Execute one candidate batch as a sweep job; outcomes in order."""
+    """Execute one candidate batch as a sweep job on ``backend``;
+    outcomes in order."""
     tasks = [
         Task(
             kind="calib",
@@ -318,7 +320,7 @@ def _run_round(
             )
     else:
         job = Job(kind="calib", meta=meta, tasks=tasks, config=round_config)
-    job.run()
+    job.run(backend)
     return sorted(job.outcomes(), key=lambda outcome: outcome.index)
 
 
@@ -368,17 +370,21 @@ def calibrate(
     trials: List[Trial] = []
     round_index = 0
     pending: List[Dict[str, int]] = first_round
-    while pending and len(trials) < budget:
-        batch = pending[: budget - len(trials)]
-        outcomes = _run_round(
-            batch, round_index, target_names, base_seed, config
-        )
-        for candidate, outcome in zip(batch, outcomes):
-            trials.append(_trial_from_outcome(outcome, candidate, round_index))
-        round_index += 1
-        if len(trials) >= budget:
-            break
-        pending = strategy.propose(space, trials)
+    # One backend for every round: a pool's workers start once.
+    with make_backend(config) as backend:
+        while pending and len(trials) < budget:
+            batch = pending[: budget - len(trials)]
+            outcomes = _run_round(
+                batch, round_index, target_names, base_seed, config, backend
+            )
+            for candidate, outcome in zip(batch, outcomes):
+                trials.append(
+                    _trial_from_outcome(outcome, candidate, round_index)
+                )
+            round_index += 1
+            if len(trials) >= budget:
+                break
+            pending = strategy.propose(space, trials)
     return CalibrationReport(
         space=space,
         targets=list(target_names),

@@ -557,7 +557,8 @@ def run_experiments(
             # map() preserves submission order, which is merge order.
             outcomes = list(executor.map(execute, tasks))
     else:
-        outcomes = make_backend(config).run(tasks)
+        with make_backend(config) as backend:
+            outcomes = backend.run(tasks)
     total_wall = time.perf_counter() - start
 
     failures = [outcome for outcome in outcomes if not outcome.ok]

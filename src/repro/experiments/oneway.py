@@ -9,13 +9,19 @@ application, with per-segment accounting.
 simulator per measurement through :mod:`repro.scenario`, so results are
 exactly reproducible and independent, and the same packet-flow engine
 that drives many-node scenarios drives this measurement.
+
+Inside a :func:`one_way_memo` block, a repeated measurement of the same
+point (NIC kind, size, parameters, warm-up count) returns the result
+the block already simulated.  Outside such a block every call
+simulates.
 """
 
 from __future__ import annotations
 
-import functools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 # Re-exported for backwards compatibility: the registry is the single
 # source of truth for NIC kinds (also used by the CLI and scenarios).
@@ -58,6 +64,28 @@ class OneWayResult:
         }
 
 
+_MEMO: ContextVar[Optional[Dict[Tuple, "OneWayResult"]]] = ContextVar(
+    "one_way_memo", default=None
+)
+
+
+@contextmanager
+def one_way_memo() -> Iterator[None]:
+    """Simulate each distinct one-way point once within the block.
+
+    Fig. 4 and Fig. 11 both measure dNIC and iNIC at 10–2000 B, so a
+    calibration trial that runs both repeats those points under the
+    same parameters.  The memo lives only as long as the block: it is
+    never shared across blocks, so a later trial (or benchmark
+    iteration) simulates every point again.
+    """
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def measure_one_way(
     nic_kind: str,
     size_bytes: int,
@@ -68,31 +96,27 @@ def measure_one_way(
 
     ``warm_packets`` packets are sent first (uncounted) so connections
     are established (NetDIMM's COPY_NEEDED fast path engages), rings are
-    initialized, and caches hold steady-state contents.
+    initialized, and caches hold steady-state contents.  Within a
+    :func:`one_way_memo` block a repeated point returns the block's
+    earlier result (the same object: treat it as read-only).
     """
+    params = params or DEFAULT
+    memo = _MEMO.get()
+    key = (nic_kind, size_bytes, params, warm_packets)
+    if memo is not None and key in memo:
+        return memo[key]
     scenario = build_scenario(
         ScenarioSpec.two_node(nic_kind, size_bytes, warm_packets=warm_packets),
-        base_params=params or DEFAULT,
+        base_params=params,
     )
     scenario.run()
     packet = scenario.delivered[-1].packet
-    return OneWayResult(
+    result = OneWayResult(
         nic_kind=nic_kind,
         size_bytes=size_bytes,
         total_ticks=packet.breakdown.total,
         segments=dict(packet.breakdown.segments),
     )
-
-
-@functools.lru_cache(maxsize=4096)
-def cached_one_way(nic_kind: str, size_bytes: int, switch_latency: Optional[int] = None) -> OneWayResult:
-    """Memoized one-way measurement under the default parameters.
-
-    Trace replay calls this per (config, size bucket); the switch
-    latency does not affect host segments but participates in the key
-    for transparency when callers sweep it.
-    """
-    params = DEFAULT
-    if switch_latency is not None:
-        params = params.with_switch_latency(switch_latency)
-    return measure_one_way(nic_kind, size_bytes, params)
+    if memo is not None:
+        memo[key] = result
+    return result

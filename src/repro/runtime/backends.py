@@ -9,9 +9,12 @@ assembled from them is byte-identical regardless of which one ran:
     reference backend: zero parallelism, zero moving parts.
 
 ``pool``
-    Fans shards across a ``ProcessPoolExecutor`` (``jobs`` workers on
-    this machine).  ``executor.map`` preserves submission order, so
-    merge order never depends on completion order.
+    Fans shards across a ``ProcessPoolExecutor`` (up to ``jobs``
+    workers, never more than this process may run on).
+    ``executor.map`` preserves submission order, so merge order never
+    depends on completion order.  The executor lives as long as the
+    backend: later ``run`` calls reuse its warm workers until
+    :meth:`Backend.close`.
 
 ``workers``
     Spawns ``workers`` independent ``python -m repro sweep-worker``
@@ -20,6 +23,8 @@ assembled from them is byte-identical regardless of which one ran:
     a network filesystem shards a sweep across *machines*.  Requires a
     ``run_dir``.
 
+A backend is a context manager; leaving the block (or calling
+:meth:`Backend.close`) releases whatever processes it still holds.
 Any backend checkpoints through :class:`~repro.runtime.state.RunState`
 when the sweep names a run directory (``workers`` always does); the
 backends only ever execute the tasks they are handed, so a resume can
@@ -36,10 +41,13 @@ import os
 import subprocess
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Type
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Type
 
 from repro.runtime.state import RunState
 from repro.runtime.tasks import Outcome, Task, execute
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "SweepConfig",
@@ -50,6 +58,13 @@ __all__ = [
     "BACKENDS",
     "make_backend",
 ]
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on (its affinity mask)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -97,6 +112,15 @@ class Backend:
         """Execute ``tasks``; return their outcomes in task order."""
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release any processes the backend holds (idempotent)."""
+
+    def __enter__(self) -> "Backend":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     @staticmethod
     def _checkpoint(
         outcome: Outcome, state: Optional[RunState]
@@ -118,29 +142,55 @@ class LocalBackend(Backend):
 
 
 class ProcessPoolBackend(Backend):
-    """``jobs`` forked workers on this machine via ProcessPoolExecutor."""
+    """Forked workers on this machine via one reused ProcessPoolExecutor.
+
+    A run is ``min(jobs, tasks, usable CPUs)`` wide; at width 1 it runs
+    inline, as a one-wide pool is pure fork overhead.  The executor is
+    created by the first wider run and kept for later ones, so a
+    calibration pays process start-up once rather than once per round;
+    a run wider than the current executor replaces it.  After a worker
+    dies (``BrokenProcessPool``) the executor is discarded, and the
+    next run starts a fresh one.
+    """
 
     name = "pool"
+
+    def __init__(self, config: SweepConfig):
+        super().__init__(config)
+        self._executor: Optional["ProcessPoolExecutor"] = None
+        self._width = 0
 
     def run(
         self, tasks: Sequence[Task], state: Optional[RunState] = None
     ) -> List[Outcome]:
         tasks = list(tasks)
-        if not tasks:
-            return []
-        if self.config.jobs == 1 or len(tasks) == 1:
-            # A one-wide pool is pure fork overhead; fall back inline.
+        width = min(self.config.jobs, len(tasks), usable_cpus())
+        if width <= 1:
             return LocalBackend(self.config).run(tasks, state)
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        width = min(self.config.jobs, len(tasks))
-        with ProcessPoolExecutor(max_workers=width) as executor:
+        if width > self._width:
+            self.close()
+            self._executor = ProcessPoolExecutor(max_workers=width)
+            self._width = width
+        try:
             # map preserves submission order: the merge sees shard i
             # at position i no matter which worker finished first.
             return [
                 self._checkpoint(outcome, state)
-                for outcome in executor.map(execute, tasks)
+                for outcome in self._executor.map(execute, tasks)
             ]
+        except BrokenProcessPool:
+            # A worker died; this executor can run nothing more.
+            self.close()
+            raise
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
+            self._width = 0
 
 
 class WorkerPoolBackend(Backend):

@@ -33,7 +33,7 @@ import json
 import os
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.runtime.backends import SweepConfig, make_backend
+from repro.runtime.backends import Backend, SweepConfig, make_backend
 from repro.runtime.provenance import build_manifest
 from repro.runtime.state import RunState
 from repro.runtime.tasks import (
@@ -124,12 +124,20 @@ class Job:
 
     # -- execution ------------------------------------------------------------
 
-    def run(self) -> "Job":
-        """Execute every pending shard; idempotent once complete."""
+    def run(self, backend: Optional[Backend] = None) -> "Job":
+        """Execute every pending shard; idempotent once complete.
+
+        ``backend`` lends an open backend (and its warm worker
+        processes) to this job, e.g. one pool across every round of a
+        calibration; the caller closes it.  Without one the job builds
+        a backend from its config and closes it before returning.
+        """
         if self._outcomes is not None:
             return self
         state = self._ensure_state()
-        backend = make_backend(self.config)
+        if backend is None:
+            with make_backend(self.config) as owned:
+                return self.run(owned)
         if state is None:
             self._outcomes = backend.run(self.tasks)
         else:

@@ -224,7 +224,8 @@ def _run_files(
             backend="pool" if jobs > 1 else "local", jobs=max(jobs, 1)
         )
     tasks = scenario_tasks(paths, chaos=chaos, faults=faults, trace=trace)
-    outcomes = make_backend(config).run(tasks)
+    with make_backend(config) as backend:
+        outcomes = backend.run(tasks)
     failures = [outcome for outcome in outcomes if not outcome.ok]
     if failures:
         lines = "\n  ".join(failure.summary() for failure in failures)

@@ -17,12 +17,15 @@ The contracts under test:
   mid-search.
 """
 
+import contextlib
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -42,6 +45,7 @@ from repro.calib import (
     select_targets,
     write_calibration,
 )
+from repro.calib import evaluate as evaluate_module
 from repro.calib.search import _trial_from_outcome
 from repro.params import (
     DEFAULT,
@@ -229,6 +233,31 @@ class TestEvaluation:
         assert document["status"] == "failed"
 
 
+class TestTrialMemo:
+    """A trial simulates each distinct one-way point once."""
+
+    def test_default_targets_build_each_distinct_point_once(
+        self, one_way_builds, monkeypatch
+    ):
+        """45 builds with the memo; without it, the same payload from
+        57 (fig4.run + fig11.run, each point simulated)."""
+        targets = select_targets(None)
+        memoized = evaluate_candidate({}, targets)
+        # Fig. 4: 4 configs x 6 sizes; Fig. 11: 3 configs x 11 sizes;
+        # dnic and inic at the 6 Fig. 4 sizes appear in both.
+        assert one_way_builds == [45]
+        evaluate_candidate({}, targets)
+        assert one_way_builds == [90]  # no memo outlives its trial
+        monkeypatch.setattr(
+            evaluate_module, "one_way_memo", contextlib.nullcontext
+        )
+        direct = evaluate_candidate({}, targets)
+        assert one_way_builds == [90 + 57]
+        assert json.dumps(memoized, sort_keys=True) == json.dumps(
+            direct, sort_keys=True
+        )
+
+
 class TestSearch:
     def test_search_improves_or_matches_defaults(self):
         report = calibrate(
@@ -295,6 +324,43 @@ class TestSearch:
         a = json.dumps(serial.to_dict(), indent=2, sort_keys=True)
         b = json.dumps(pooled.to_dict(), indent=2, sort_keys=True)
         assert a == b
+
+    def test_pooled_calibration_forks_one_pool_for_every_round(
+        self, pool_executors, two_usable_cpus
+    ):
+        kwargs = dict(targets=ONE_TARGET, budget=10, base_seed=3)
+        serial = calibrate(SMOKE_SPACE, **kwargs)
+        pooled = calibrate(
+            SMOKE_SPACE, config=SweepConfig(backend="pool", jobs=2), **kwargs
+        )
+        # Rounds of 1, 4, 3 and 2 trials: three of them pooled.
+        sizes = Counter(trial.round_index for trial in pooled.trials)
+        assert [sizes[index] for index in sorted(sizes)] == [1, 4, 3, 2]
+        assert len(pool_executors) == 1
+        assert multiprocessing.active_children() == []
+        assert json.dumps(serial.to_dict(), indent=2, sort_keys=True) == (
+            json.dumps(pooled.to_dict(), indent=2, sort_keys=True)
+        )
+
+    def test_a_calibration_that_raises_leaves_no_workers(
+        self, pool_executors, two_usable_cpus
+    ):
+        class Exploding(CoordinateDescent):
+            def propose(self, space, trials):
+                if len(trials) > 1:
+                    raise RuntimeError("strategy failed")
+                return super().propose(space, trials)
+
+        with pytest.raises(RuntimeError, match="strategy failed"):
+            calibrate(
+                SMOKE_SPACE,
+                targets=ONE_TARGET,
+                budget=10,
+                config=SweepConfig(backend="pool", jobs=2),
+                strategy=Exploding(),
+            )
+        assert len(pool_executors) == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestArtifact:

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.experiments.oneway import NIC_KINDS, cached_one_way, make_node, measure_one_way
+from repro.experiments.oneway import NIC_KINDS, make_node, measure_one_way, one_way_memo
 from repro.net.packet import FIG11_SEGMENTS
+from repro.params import DEFAULT
 from repro.sim import Simulator
 
 
@@ -53,7 +54,37 @@ class TestMeasureOneWay:
                       for size in (64, 256, 1024)]
             assert totals == sorted(totals)
 
-    def test_cached_measurement_consistent(self):
+    def test_cached_measurement_consistent(self, one_way_builds):
         direct = measure_one_way("inic", 320)
-        cached = cached_one_way("inic", 320)
-        assert cached.total_ticks == direct.total_ticks
+        with one_way_memo():
+            measure_one_way("inic", 320)
+            cached = measure_one_way("inic", 320)
+        assert one_way_builds == [2]  # the memo's second call was a hit
+        assert cached == direct
+
+
+class TestOneWayMemo:
+    def test_outside_a_memo_every_call_simulates(self, one_way_builds):
+        first = measure_one_way("dnic", 64)
+        second = measure_one_way("dnic", 64)
+        assert one_way_builds == [2]
+        assert first == second
+
+    def test_key_covers_kind_size_params_and_warmup(self, one_way_builds):
+        slower = DEFAULT.with_switch_latency(DEFAULT.network.switch_latency + 1)
+        with one_way_memo():
+            measure_one_way("dnic", 64)
+            measure_one_way("dnic", 64, DEFAULT)  # None normalises to DEFAULT
+            measure_one_way("inic", 64)
+            measure_one_way("dnic", 128)
+            measure_one_way("dnic", 64, slower)
+            measure_one_way("dnic", 64, warm_packets=0)
+        assert one_way_builds == [5]
+
+    def test_memo_ends_with_its_block(self, one_way_builds):
+        with one_way_memo():
+            measure_one_way("netdimm", 64)
+        with one_way_memo():
+            measure_one_way("netdimm", 64)
+        measure_one_way("netdimm", 64)
+        assert one_way_builds == [3]

@@ -8,11 +8,14 @@ up the pieces.
 """
 
 import json
+import multiprocessing
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -33,9 +36,10 @@ from repro.runtime import (
     register_assembler,
     register_kind,
 )
+from repro.runtime.backends import LocalBackend, ProcessPoolBackend
 from repro.runtime.provenance import MANIFEST_SCHEMA, build_manifest
 from repro.runtime.state import JOB_SCHEMA
-from repro.runtime.tasks import decode_payload, encode_payload
+from repro.runtime.tasks import decode_payload, encode_payload, worker_identity
 from repro.runtime.worker import work
 from repro.telemetry import runtime_trace
 
@@ -66,6 +70,14 @@ def _flaky_assembler(meta, results):
 
 register_kind("test-flaky", _flaky_executor)
 register_assembler("test-flaky", _flaky_assembler)
+
+
+# A task kind whose worker process dies outright, as a crash would.
+def _exit_executor(args):
+    os._exit(1)
+
+
+register_kind("test-exit", _exit_executor)
 
 
 def _flaky_tasks(count, explode=()):
@@ -410,6 +422,92 @@ class TestBackendParity:
         assert serial == pooled
         classic, _reports = api.run_scenario_files(specs)
         assert serial["scenarios"] == classic["scenarios"]
+
+
+class TestPoolLifecycle:
+    """One executor per backend, capped at the usable CPUs, released on
+    close and replaced after a worker dies."""
+
+    POOL = SweepConfig(backend="pool", jobs=4)
+
+    def test_width_is_capped_at_the_usable_cpus(
+        self, pool_executors, two_usable_cpus
+    ):
+        with ProcessPoolBackend(self.POOL) as backend:
+            outcomes = backend.run(_flaky_tasks(5))
+        assert [e._max_workers for e in pool_executors] == [2]
+        assert [o.payload["i"] for o in outcomes] == list(range(5))
+
+    def test_one_usable_cpu_runs_inline(self, monkeypatch, pool_executors):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        tasks = _flaky_tasks(4, explode={1})
+        with ProcessPoolBackend(self.POOL) as backend:
+            pooled = backend.run(tasks)
+        assert pool_executors == []
+        assert {o.worker for o in pooled} == {worker_identity()}
+        local = LocalBackend(self.POOL).run(tasks)
+        assert [o.ok for o in pooled] == [o.ok for o in local]
+        assert [(o.task_id, o.index, o.seed) for o in pooled] == [
+            (o.task_id, o.index, o.seed) for o in local
+        ]
+        assert [o.payload for o in pooled if o.ok] == [
+            o.payload for o in local if o.ok
+        ]
+
+    def test_runs_reuse_one_executor_until_close(
+        self, pool_executors, two_usable_cpus
+    ):
+        backend = ProcessPoolBackend(self.POOL)
+        first = backend.run(_flaky_tasks(3))
+        second = backend.run(_flaky_tasks(2))
+        assert len(pool_executors) == 1
+        workers = {
+            f"{socket.gethostname()}:{p.pid}"
+            for p in multiprocessing.active_children()
+        }
+        assert len(workers) == 2
+        assert {o.worker for o in first + second} <= workers
+        backend.close()
+        backend.close()  # idempotent
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_fails_the_run_then_a_fresh_pool_serves(
+        self, pool_executors, two_usable_cpus
+    ):
+        doomed = Job(
+            kind="test-exit",
+            meta={},
+            tasks=[
+                Task(kind="test-exit", task_id=f"exit[{i}]", index=i)
+                for i in range(2)
+            ],
+        )
+        survivor = Job(kind="test-flaky", meta={}, tasks=_flaky_tasks(3))
+        with ProcessPoolBackend(self.POOL) as backend:
+            with pytest.raises(BrokenProcessPool):
+                doomed.run(backend)
+            assert survivor.run(backend).result() == {"values": [0, 1, 2]}
+        assert len(pool_executors) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_job_without_a_backend_closes_its_own(
+        self, pool_executors, two_usable_cpus
+    ):
+        job = Job(
+            kind="test-flaky", meta={}, tasks=_flaky_tasks(3), config=self.POOL
+        )
+        assert job.run().result() == {"values": [0, 1, 2]}
+        assert len(pool_executors) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_one_shot_runners_close_their_pool(
+        self, pool_executors, two_usable_cpus
+    ):
+        harness.run_experiments(["table1", "fig7"], config=self.POOL)
+        assert len(pool_executors) == 1
+        assert multiprocessing.active_children() == []
 
 
 class TestKillAndResume:
