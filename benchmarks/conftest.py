@@ -13,7 +13,9 @@ perf trajectory that future optimization PRs are measured against.
 """
 
 import gc
+import os
 import pathlib
+import platform
 import time
 
 import pytest
@@ -83,6 +85,9 @@ def pytest_sessionfinish(session, exitstatus):
                 # Which kernel lane produced these numbers — lets the
                 # regression gate compare batched vs fallback runs.
                 "kernel_batch": engine.batching_enabled(),
+                # The machine facts a speed-up claim must carry.
+                "usable_cpus": len(os.sched_getaffinity(0)),
+                "python": platform.python_version(),
             },
         )
         _RECORDS.clear()

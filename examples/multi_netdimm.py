@@ -42,9 +42,10 @@ def main() -> None:
     print("\nBoth NetDIMMs receiving in parallel:")
     slot_a, slot_b = system.slots
     start = sim.now
-    done_a = slot_a.device.nic_receive_dma(slot_a.zone.base + 0x10000, 1514, slot_a.zone.base)
-    done_b = slot_b.device.nic_receive_dma(slot_b.zone.base + 0x10000, 1514, slot_b.zone.base)
-    sim.run_until(sim.all_of([done_a, done_b]))
+    rx_a = slot_a.device.nic_receive_dma(slot_a.zone.base + 0x10000, 1514, slot_a.zone.base)
+    rx_b = slot_b.device.nic_receive_dma(slot_b.zone.base + 0x10000, 1514, slot_b.zone.base)
+    # Each deposit is a sub-transaction; spawning both runs them concurrently.
+    sim.run_until(sim.all_of([sim.spawn(rx_a).done, sim.spawn(rx_b).done]))
     parallel = sim.now - start
     print(f"  two MTU packets deposited in {to_us(parallel):.3f} us total "
           "(each on its own nMC — no cross-DIMM contention)")

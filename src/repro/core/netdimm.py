@@ -34,7 +34,7 @@ from repro.dram.controller import MemoryController
 from repro.dram.geometry import DRAMGeometry
 from repro.nic.descriptor import Descriptor
 from repro.params import SystemParams
-from repro.sim import Component, Future, Simulator
+from repro.sim import Component, Future, ProcessBody, Simulator
 from repro.units import CACHELINE, cachelines
 
 NNIC_PRIORITY = 0
@@ -93,22 +93,18 @@ class NetDIMMDevice(Component):
 
     # -- host-side (PHY) interface: the AsyncDevice protocol ---------------------
 
-    def device_read(self, address: int, size_bytes: int) -> Future:
+    def device_read(self, address: int, size_bytes: int) -> ProcessBody:
         """A host read arriving over the memory channel.
 
         Checks nCache line by line (consuming hits), fetches misses from
         local DRAM at PHY priority, and pokes the prefetcher.  The
-        future completes when every requested line is in the buffer
-        device, i.e. when RDY can be raised.
+        sub-transaction returns when every requested line is in the
+        buffer device, i.e. when RDY can be raised.
         """
-        self._local(address)  # validate eagerly, before the process runs
-        sim = self.sim
-        done = sim.future()
-        sim.spawn(self._device_read_body(address, size_bytes, done),
-                  name=f"{self.name}.rd" if sim.named else "")
-        return done
+        self._local(address)  # validate eagerly, before the body runs
+        return self._device_read_body(address, size_bytes)
 
-    def _device_read_body(self, address: int, size_bytes: int, done: Future):
+    def _device_read_body(self, address: int, size_bytes: int):
         start = self.now
         yield self.params.netdimm.ncontroller_latency
         lines = cachelines(max(size_bytes, 1))
@@ -138,7 +134,6 @@ class NetDIMMDevice(Component):
             ]
             yield self.sim.all_of(pending)
         self.stats.sample("host_read_ns", (self.now - start) / 1000)
-        done.set_result(None)
 
     def device_write(self, address: int, size_bytes: int) -> Future:
         """A host write arriving over the memory channel.
@@ -164,7 +159,7 @@ class NetDIMMDevice(Component):
 
     def nic_receive_dma(
         self, buffer_address: int, size_bytes: int, descriptor_address: int
-    ) -> Future:
+    ) -> ProcessBody:
         """Deposit a received packet (paper steps R1–R3).
 
         Fetch the RX descriptor, stream the packet from the nNIC RX
@@ -172,16 +167,10 @@ class NetDIMMDevice(Component):
         (header caching), and write back the descriptor status.  All at
         nNIC priority.
         """
-        sim = self.sim
-        done = sim.future()
-        sim.spawn(
-            self._nic_rx_body(buffer_address, size_bytes, descriptor_address, done),
-            name=f"{self.name}.nicrx" if sim.named else "",
-        )
-        return done
+        return self._nic_rx_body(buffer_address, size_bytes, descriptor_address)
 
     def _nic_rx_body(
-        self, buffer_address: int, size_bytes: int, descriptor_address: int, done: Future
+        self, buffer_address: int, size_bytes: int, descriptor_address: int
     ):
         start = self.now
         yield self.params.nic.nnic_dma_setup
@@ -211,26 +200,19 @@ class NetDIMMDevice(Component):
         self.stats.count("rx_packets")
         self.stats.count("rx_bytes", size_bytes)
         self.stats.sample("nic_rx_dma_ns", (self.now - start) / 1000)
-        done.set_result(None)
 
     def nic_transmit_dma(
         self, buffer_address: int, size_bytes: int, descriptor_address: int
-    ) -> Future:
+    ) -> ProcessBody:
         """Pull a packet for transmission (paper step T3, on-DIMM).
 
         Fetch the TX descriptor, read the packet out of local DRAM into
         the nNIC TX buffer, and write back completion status.
         """
-        sim = self.sim
-        done = sim.future()
-        sim.spawn(
-            self._nic_tx_body(buffer_address, size_bytes, descriptor_address, done),
-            name=f"{self.name}.nictx" if sim.named else "",
-        )
-        return done
+        return self._nic_tx_body(buffer_address, size_bytes, descriptor_address)
 
     def _nic_tx_body(
-        self, buffer_address: int, size_bytes: int, descriptor_address: int, done: Future
+        self, buffer_address: int, size_bytes: int, descriptor_address: int
     ):
         start = self.now
         yield self.params.nic.nnic_dma_setup
@@ -251,11 +233,10 @@ class NetDIMMDevice(Component):
         self.stats.count("tx_packets")
         self.stats.count("tx_bytes", size_bytes)
         self.stats.sample("nic_tx_dma_ns", (self.now - start) / 1000)
-        done.set_result(None)
 
     # -- the netdimmClone register interface ---------------------------------------
 
-    def clone(self, dst: int, src: int, size_bytes: int) -> Future:
+    def clone(self, dst: int, src: int, size_bytes: int) -> ProcessBody:
         """Execute ``netdimmClone(dst, src, size)`` (Alg. 1 line 14).
 
         The host has already paid the register-write cost; this runs the
@@ -267,16 +248,15 @@ class NetDIMMDevice(Component):
         header-caching property must survive the clone.
         """
         self.ncache.snoop_write(dst, size_bytes)
-        done = self.sim.future()
-        clone_done = self.clone_engine.clone(src, dst, size_bytes)
+        return self._clone_body(dst, self.clone_engine.clone(src, dst, size_bytes))
 
-        def _mirror(_future):
-            if self.params.netdimm.ncache_enabled:
-                self.ncache.fill_header(dst)
-            done.set_result(None)
-
-        clone_done.add_callback(_mirror)
-        return done
+    def _clone_body(self, dst: int, engine_clone: ProcessBody):
+        # ``yield from``, not ``yield``: the engine's copy runs as this
+        # sub-transaction's own body, so the clone costs the caller one
+        # call, not two nested ones.
+        yield from engine_clone
+        if self.params.netdimm.ncache_enabled:
+            self.ncache.fill_header(dst)
 
     def clone_mode(self, dst: int, src: int) -> CloneMode:
         """Which clone mode a (dst, src) pair would use."""

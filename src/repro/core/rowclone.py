@@ -25,7 +25,7 @@ from typing import Optional
 from repro.dram.controller import MemoryController
 from repro.dram.geometry import DRAMGeometry, RANK_ROW_BYTES
 from repro.params import NetDIMMParams
-from repro.sim import Component, Future, Simulator
+from repro.sim import Component, ProcessBody, Simulator
 from repro.units import CACHELINE, PAGE, cachelines
 
 
@@ -100,8 +100,9 @@ class CloneEngine(Component):
             dst += chunk
             remaining -= chunk
 
-    def clone(self, src: int, dst: int, size_bytes: int) -> Future:
-        """Execute a clone; future completes when the copy is durable.
+    def clone(self, src: int, dst: int, size_bytes: int) -> ProcessBody:
+        """Execute a clone: a sub-transaction that returns when the copy
+        is durable.
 
         FPM/PSM run inside the DRAM devices (latency only — they do not
         occupy the nMC data bus).  GCM round-trips every line through
@@ -110,13 +111,9 @@ class CloneEngine(Component):
         """
         if size_bytes <= 0:
             raise ValueError(f"clone size must be positive: {size_bytes}")
-        done = self.sim.future()
-        sim = self.sim
-        sim.spawn(self._clone_body(src, dst, size_bytes, done),
-                  name=f"{self.name}.clone" if sim.named else "")
-        return done
+        return self._clone_body(src, dst, size_bytes)
 
-    def _clone_body(self, src: int, dst: int, size_bytes: int, done: Future):
+    def _clone_body(self, src: int, dst: int, size_bytes: int):
         start = self.now
         yield self.params.rowclone_issue_cost
         for chunk_src, chunk_dst, chunk_size in self._chunks(src, dst, size_bytes):
@@ -135,4 +132,3 @@ class CloneEngine(Component):
             else:
                 yield self._chunk_latency(mode, chunk_size)
         self.stats.sample("clone_ns", (self.now - start) / 1000)
-        done.set_result(None)

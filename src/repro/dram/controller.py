@@ -230,15 +230,24 @@ class MemoryController(Component):
     def _ensure_scheduler(self) -> None:
         if not self._scheduler_running:
             self._scheduler_running = True
-            sim = self.sim
-            sim.spawn(self._scheduler(), name=f"{self.name}.sched" if sim.named else "")
+            self.sim.schedule(0, self._schedule_next)
 
-    def _scheduler(self):
-        while self._read_queue or self._write_queue:
-            request = self._pick()
-            yield self.timing.tCMD  # command-bus occupancy per scheduled request
-            self._issue(request)
-        self._scheduler_running = False
+    def _schedule_next(self) -> None:
+        """Pick the next request and issue it one command slot later.
+
+        The scheduler is two callbacks, not a process: this pick (first
+        queued at zero delay by :meth:`_ensure_scheduler`) and the issue
+        after ``tCMD`` of command-bus occupancy, which picks again while
+        requests remain.
+        """
+        if self._read_queue or self._write_queue:
+            self.sim.schedule(self.timing.tCMD, self._issue_next, self._pick())
+        else:
+            self._scheduler_running = False
+
+    def _issue_next(self, request: MemRequest) -> None:
+        self._issue(request)
+        self._schedule_next()
 
     def _pick(self) -> MemRequest:
         """FR-FCFS: prefer row hits, then lowest priority value, then oldest.

@@ -18,18 +18,19 @@ why the access time is non-deterministic from the host's perspective
 from __future__ import annotations
 
 from bisect import insort
-from typing import Optional, Protocol
+from typing import Optional, Protocol, Union
 
 from repro.params import DRAMTimingParams, NVDIMMPParams
-from repro.sim import Component, Future, Resource, Simulator
+from repro.sim import Component, Future, ProcessBody, Resource, Simulator
 from repro.units import CACHELINE
 
 
 class AsyncDevice(Protocol):
     """What an NVDIMM-P-style DIMM must implement for the host port."""
 
-    def device_read(self, address: int, size_bytes: int) -> Future:
-        """Start a media read; future completes when data is in the buffer."""
+    def device_read(self, address: int, size_bytes: int) -> Union[Future, ProcessBody]:
+        """A media read: an awaitable (a future, or a sub-transaction
+        generator) that completes when the data is in the buffer."""
 
     def device_write(self, address: int, size_bytes: int) -> Future:
         """Start a media write; future completes when the write is accepted."""
@@ -71,21 +72,16 @@ class AsyncMemoryPort(Component):
     def _lines(self, size_bytes: int) -> int:
         return max(1, -(-size_bytes // CACHELINE))
 
-    def read(self, address: int, size_bytes: int = CACHELINE) -> Future:
+    def read(self, address: int, size_bytes: int = CACHELINE) -> ProcessBody:
         """Asynchronous read: XRD → media → RDY → SEND → data on DQ.
 
-        The future completes when the last data beat has crossed the host
-        channel, with the request ID as its value.
+        A sub-transaction (``yield port.read(...)``): it returns the
+        request ID once the last data beat has crossed the host channel.
         """
         self._next_request_id += 1
-        request_id = self._next_request_id
-        sim = self.sim
-        done = sim.future()
-        sim.spawn(self._read_body(address, size_bytes, request_id, done),
-                  name=f"{self.name}.xrd{request_id}" if sim.named else "")
-        return done
+        return self._read_body(address, size_bytes, self._next_request_id)
 
-    def _read_body(self, address: int, size_bytes: int, request_id: int, done: Future):
+    def _read_body(self, address: int, size_bytes: int, request_id: int):
         protocol = self.protocol
         sim = self.sim
         start = sim._now
@@ -153,23 +149,19 @@ class AsyncMemoryPort(Component):
             yield from self.channel_bus.use(protocol.send_to_data + burst)
         self.stats.count("async_reads")
         self.stats.sample("read_latency_ns", (self.now - start) / 1000)
-        done.set_result(request_id)
+        return request_id
 
-    def write(self, address: int, size_bytes: int = CACHELINE) -> Future:
+    def write(self, address: int, size_bytes: int = CACHELINE) -> ProcessBody:
         """Asynchronous (posted) write: command+data cross the channel,
         then the DIMM absorbs the write in the background.
 
-        The returned future completes when the DIMM has *accepted* the
-        write (host-visible completion); the media write itself proceeds
-        inside the device model.
+        A sub-transaction (``yield port.write(...)``): it returns when
+        the DIMM has *accepted* the write (host-visible completion); the
+        media write itself proceeds inside the device model.
         """
-        sim = self.sim
-        done = sim.future()
-        sim.spawn(self._write_body(address, size_bytes, done),
-                  name=f"{self.name}.xwr" if sim.named else "")
-        return done
+        return self._write_body(address, size_bytes)
 
-    def _write_body(self, address: int, size_bytes: int, done: Future):
+    def _write_body(self, address: int, size_bytes: int):
         sim = self.sim
         start = sim._now
         burst = self._lines(size_bytes) * self.timing.tBURST
@@ -200,4 +192,3 @@ class AsyncMemoryPort(Component):
         self.device.device_write(address, size_bytes)
         self.stats.count("async_writes")
         self.stats.sample("write_latency_ns", (self.now - start) / 1000)
-        done.set_result(None)

@@ -24,7 +24,7 @@ from repro.nic.descriptor import Descriptor, DescriptorRing
 from repro.nic.registers import PCIeRegisterFile
 from repro.params import SystemParams
 from repro.pcie.link import PCIeLink
-from repro.sim import Future, Simulator
+from repro.sim import Simulator
 from repro.units import mib
 
 
@@ -69,7 +69,7 @@ class DiscreteNICNode(ServerNode):
 
     # -- TX path (T1–T3; T4 is the wire) ----------------------------------------
 
-    def _transmit_body(self, packet: Packet, done: Future):
+    def _transmit_body(self, packet: Packet):
         software = self.params.software
         watch = Stopwatch(self.sim, packet)
 
@@ -107,11 +107,11 @@ class DiscreteNICNode(ServerNode):
         if dma_buffer is not None:
             self.allocator.free_page(dma_buffer)
         self.stats.count("tx_packets")
-        done.set_result(packet)
+        return packet
 
     # -- RX path (R1–R5; R0 is the wire) ------------------------------------------
 
-    def _receive_body(self, packet: Packet, done: Future):
+    def _receive_body(self, packet: Packet):
         software = self.params.software
         nic = self.params.nic
         watch = Stopwatch(self.sim, packet)
@@ -159,7 +159,7 @@ class DiscreteNICNode(ServerNode):
         if app_page is not None:
             self.allocator.free_page(app_page)
         self.stats.count("rx_packets")
-        done.set_result(packet)
+        return packet
 
     # -- analytical helper ---------------------------------------------------------
 

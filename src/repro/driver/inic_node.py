@@ -22,7 +22,7 @@ from repro.net.packet import Packet
 from repro.nic.descriptor import Descriptor, DescriptorRing
 from repro.nic.registers import OnDieRegisterFile
 from repro.params import SystemParams
-from repro.sim import Future, Simulator
+from repro.sim import Simulator
 from repro.units import mib, transfer_time
 
 
@@ -81,7 +81,7 @@ class IntegratedNICNode(ServerNode):
 
     # -- TX path ------------------------------------------------------------------
 
-    def _transmit_body(self, packet: Packet, done: Future):
+    def _transmit_body(self, packet: Packet):
         software = self.params.software
         watch = Stopwatch(self.sim, packet)
 
@@ -121,11 +121,11 @@ class IntegratedNICNode(ServerNode):
         if dma_buffer is not None:
             self.allocator.free_page(dma_buffer)
         self.stats.count("tx_packets")
-        done.set_result(packet)
+        return packet
 
     # -- RX path --------------------------------------------------------------------
 
-    def _receive_body(self, packet: Packet, done: Future):
+    def _receive_body(self, packet: Packet):
         software = self.params.software
         nic = self.params.nic
         watch = Stopwatch(self.sim, packet)
@@ -173,4 +173,4 @@ class IntegratedNICNode(ServerNode):
         if app_page is not None:
             self.allocator.free_page(app_page)
         self.stats.count("rx_packets")
-        done.set_result(packet)
+        return packet

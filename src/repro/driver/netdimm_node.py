@@ -39,7 +39,7 @@ from repro.net.packet import Packet
 from repro.nic.descriptor import DescriptorRing
 from repro.nic.registers import MemoryChannelRegisterFile
 from repro.params import SystemParams
-from repro.sim import Future, Simulator
+from repro.sim import Simulator
 from repro.units import CACHELINE, mib
 
 
@@ -131,7 +131,7 @@ class NetDIMMNode(ServerNode):
 
     # -- TX path (Alg. 1 lines 1–10) -----------------------------------------------
 
-    def _transmit_body(self, packet: Packet, done: Future):
+    def _transmit_body(self, packet: Packet):
         software = self.params.software
         watch = Stopwatch(self.sim, packet)
         socket = self._socket_for(packet)
@@ -197,11 +197,11 @@ class NetDIMMNode(ServerNode):
             self.allocator.free_page(skb.data_address)
         socket.packets_sent += 1
         self.stats.count("tx_packets")
-        done.set_result(packet)
+        return packet
 
     # -- RX path (Alg. 1 lines 11–15) --------------------------------------------------
 
-    def _receive_body(self, packet: Packet, done: Future):
+    def _receive_body(self, packet: Packet):
         software = self.params.software
         netdimm = self.params.netdimm
         watch = Stopwatch(self.sim, packet)
@@ -266,7 +266,7 @@ class NetDIMMNode(ServerNode):
         self._release_dma_page(dma_buffer)
         self._release_dma_page(app_page)
         self.stats.count("rx_packets")
-        done.set_result(packet)
+        return packet
 
     # -- helpers --------------------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """The abstract server-node interface shared by all NIC configurations.
 
 A node owns one server's hardware models (memory controllers, the NIC
-and its interconnect, descriptor rings) and exposes two process-style
-operations:
+and its interconnect, descriptor rings) and exposes two sub-transactions
+(``yield node.transmit(packet)`` runs the TX path inside the calling
+process):
 
 * :meth:`ServerNode.transmit` — everything from the driver's transmit
   function being called to the packet being handed to the MAC for
@@ -29,6 +30,7 @@ entered, so the zero-fault event sequence is untouched.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional, Tuple
 
 from repro.driver.polling import detection_cost
@@ -36,7 +38,7 @@ from repro.faults.engine import stall_delay
 from repro.faults.spec import RecoverySpec
 from repro.net.packet import Packet
 from repro.params import SystemParams, apply_overrides
-from repro.sim import Component, Future, Simulator
+from repro.sim import Component, Future, ProcessBody, Simulator
 from repro.units import cachelines, ns
 
 
@@ -45,6 +47,17 @@ def _complete_timeout(verdict: Future) -> None:
     delivery already won the race at this exact tick."""
     if not verdict.done:
         verdict.set_result("timeout")
+
+
+def _attempt_failed(verdict: Future, timer, attempt_done: Future) -> None:
+    """Attempt-process callback: a model error inside an undecided
+    attempt fails its verdict, so the sender sees the error instead of
+    a timeout.  (An attempt the driver already gave up on has no
+    reader left.)"""
+    exc = attempt_done.exception
+    if exc is not None and not verdict.done:
+        timer.cancel()
+        verdict.set_exception(exc)
 
 
 class FlowRecovery:
@@ -122,27 +135,23 @@ class ServerNode(Component):
         """Stall windows as (start, end) ticks — set by the scenario
         builder from the fault spec; empty means no gating at all."""
 
-    # -- the two path processes (subclasses implement the bodies) -------------
+    # -- the two path sub-transactions (subclasses implement the bodies) ------
 
-    def transmit(self, packet: Packet) -> Future:
-        """Run the TX path; future completes when the MAC takes the frame."""
-        done = self.sim.future()
-        body = self._transmit_body(packet, done)
+    def transmit(self, packet: Packet) -> ProcessBody:
+        """The TX path: a sub-transaction (``yield node.transmit(p)``)
+        returning the packet when the MAC takes the frame."""
+        body = self._transmit_body(packet)
         if self.fault_stalls:
             body = self._stall_gate(body)
-        sim = self.sim
-        sim.spawn(body, name=f"{self.name}.tx" if sim.named else "")
-        return done
+        return body
 
-    def receive(self, packet: Packet) -> Future:
-        """Run the RX path; future completes at delivery to upper layers."""
-        done = self.sim.future()
-        body = self._receive_body(packet, done)
+    def receive(self, packet: Packet) -> ProcessBody:
+        """The RX path: a sub-transaction returning the packet at
+        delivery to upper layers."""
+        body = self._receive_body(packet)
         if self.fault_stalls:
             body = self._stall_gate(body)
-        sim = self.sim
-        sim.spawn(body, name=f"{self.name}.rx" if sim.named else "")
-        return done
+        return body
 
     def _stall_gate(self, body):
         """Delay ``body`` until the current stall window (if any) ends."""
@@ -150,7 +159,7 @@ class ServerNode(Component):
         if delay:
             self.stats.count("stall_waits")
             yield delay
-        yield from body
+        return (yield from body)
 
     # -- driver-level loss recovery -------------------------------------------
 
@@ -181,10 +190,11 @@ class ServerNode(Component):
             attempt_start = self.now
             verdict = self.sim.future()
             timer = self.sim.call_later(timeout, _complete_timeout, verdict)
-            self.sim.spawn(
+            attempt = self.sim.spawn(
                 self._attempt_body(packet, transit, receiver, verdict, timer, counters),
                 name=f"{self.name}.attempt",
             )
+            attempt.done.add_callback(partial(_attempt_failed, verdict, timer))
             outcome = yield verdict
             if tracer is not None:
                 # Child span per attempt: nested inside the flow span,
@@ -233,11 +243,11 @@ class ServerNode(Component):
             timer.cancel()
             verdict.set_result("delivered")
 
-    def _transmit_body(self, packet: Packet, done: Future):
+    def _transmit_body(self, packet: Packet):
         raise NotImplementedError
         yield  # pragma: no cover
 
-    def _receive_body(self, packet: Packet, done: Future):
+    def _receive_body(self, packet: Packet):
         raise NotImplementedError
         yield  # pragma: no cover
 

@@ -24,7 +24,7 @@ from typing import Dict, Optional
 
 from repro.params import PCIeParams
 from repro.pcie.tlp import TLPModel
-from repro.sim import Component, Future, Resource, Simulator
+from repro.sim import Component, Future, ProcessBody, Resource, Simulator
 from repro.units import cachelines
 
 
@@ -60,17 +60,11 @@ class PCIeLink(Component):
 
     # -- basic transactions ---------------------------------------------------
 
-    def posted_write(self, size_bytes: int, toward_device: bool = True) -> Future:
-        """A posted memory write; future completes on delivery."""
-        sim = self.sim
-        done = sim.future()
-        sim.spawn(
-            self._posted_body(size_bytes, toward_device, done),
-            name=f"{self.name}.mwr" if sim.named else "",
-        )
-        return done
+    def posted_write(self, size_bytes: int, toward_device: bool = True) -> ProcessBody:
+        """A posted memory write: a sub-transaction returning on delivery."""
+        return self._posted_body(size_bytes, toward_device)
 
-    def _posted_body(self, size_bytes: int, toward_device: bool, done: Future):
+    def _posted_body(self, size_bytes: int, toward_device: bool):
         sim = self.sim
         start = sim._now
         ticks = self._ser(size_bytes) if size_bytes else self._header_ticks
@@ -101,21 +95,17 @@ class PCIeLink(Component):
         yield self.params.propagation
         self.stats.count("posted_writes")
         self.stats.sample("posted_write_ns", (self.now - start) / 1000)
-        done.set_result(None)
 
-    def read(self, size_bytes: int, from_device: bool = False) -> Future:
-        """A non-posted read; future completes when all data has returned.
+    def read(self, size_bytes: int, from_device: bool = False) -> ProcessBody:
+        """A non-posted read: a sub-transaction returning when all data
+        has returned.
 
         ``from_device=False`` is a device reading host memory (the common
         DMA direction); ``True`` is the host reading device memory.
         """
-        sim = self.sim
-        done = sim.future()
-        sim.spawn(self._read_body(size_bytes, from_device, done),
-                  name=f"{self.name}.mrd" if sim.named else "")
-        return done
+        return self._read_body(size_bytes, from_device)
 
-    def _read_body(self, size_bytes: int, from_device: bool, done: Future):
+    def _read_body(self, size_bytes: int, from_device: bool):
         sim = self.sim
         start = sim._now
         request_direction = self._direction(toward_device=from_device)
@@ -170,25 +160,16 @@ class PCIeLink(Component):
         yield self.params.propagation
         self.stats.count("reads")
         self.stats.sample("read_ns", (self.now - start) / 1000)
-        done.set_result(None)
 
     # -- CPU-visible register access ------------------------------------------
 
-    def mmio_read(self) -> Future:
+    def mmio_read(self) -> ProcessBody:
         """CPU load from a device register: a blocking full round trip."""
-        sim = self.sim
-        done = sim.future()
-        sim.spawn(self._mmio_read_body(done),
-                  name=f"{self.name}.mmio_rd" if sim.named else "")
-        return done
-
-    def _mmio_read_body(self, done: Future):
         start = self.now
         yield self.params.mmio_read_extra
         yield self.read(4, from_device=True)
         self.stats.count("mmio_reads")
         self.stats.sample("mmio_read_ns", (self.now - start) / 1000)
-        done.set_result(None)
 
     def mmio_write_cpu_cost(self) -> int:
         """Ticks the CPU is occupied issuing a posted register write.
@@ -199,8 +180,16 @@ class PCIeLink(Component):
         return self.params.doorbell_write_cost
 
     def mmio_write(self) -> Future:
-        """Post a register write; future completes when it reaches the device."""
-        return self.posted_write(0, toward_device=True)
+        """Post a register write; future completes when it reaches the device.
+
+        The write proceeds concurrently with the CPU (it is posted), so
+        it runs as a process of its own rather than as a sub-transaction.
+        """
+        sim = self.sim
+        return sim.spawn(
+            self.posted_write(0, toward_device=True),
+            name=f"{self.name}.mwr" if sim.named else "",
+        ).done
 
     # -- DMA pipelining -----------------------------------------------------------
 

@@ -30,9 +30,11 @@ runs byte-identical.
 from __future__ import annotations
 
 import base64
+import gc
 import os
 import pickle
 import socket
+import sys
 import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
@@ -237,6 +239,14 @@ def outcome_from_dict(document: Dict[str, Any]) -> Outcome:
     return ShardResult.from_dict(document)
 
 
+FENCE_COLLECT_BLOCKS = 20_000
+"""Heap growth (pymalloc blocks) across one shard above which its fence
+runs a full garbage collection.  A packet-level scenario shard leaves
+~90k blocks of cyclic garbage, which one ~20 ms collection returns; a
+calibration trial leaves ~2k, where a ~10 ms collection per trial would
+cost more than it frees."""
+
+
 def worker_identity() -> str:
     """``host:pid`` — who executed a shard (provenance, not results)."""
     return f"{socket.gethostname()}:{os.getpid()}"
@@ -248,19 +258,22 @@ def execute(task: Task) -> Outcome:
     The executor call is fenced: an exception becomes a
     :class:`ShardFailure` carrying the exception type, shard index,
     derived seed, duration, and traceback — one bad sweep point never
-    aborts (or silently poisons) the whole job.
+    aborts (or silently poisons) the whole job.  A shard that leaves a
+    large heap behind is garbage-collected at the fence (see
+    :data:`FENCE_COLLECT_BLOCKS`), outside its metered wall time.
     """
     from repro.sim import engine
 
     executor = _ensure_registered(task.kind)
     events_before = engine.process_events_total()
+    blocks_before = sys.getallocatedblocks()
     started_at = time.time()
     start = time.perf_counter()
     try:
         payload = executor(task.args)
     except Exception as error:  # noqa: BLE001 — the fence is the point
         wall = time.perf_counter() - start
-        return ShardFailure(
+        outcome = ShardFailure(
             task_id=task.task_id,
             index=task.index,
             seed=task.seed,
@@ -271,17 +284,26 @@ def execute(task: Task) -> Outcome:
             worker=worker_identity(),
             started_at=started_at,
         )
-    wall = time.perf_counter() - start
-    return ShardResult(
-        task_id=task.task_id,
-        index=task.index,
-        seed=task.seed,
-        payload=payload,
-        wall_seconds=wall,
-        events_fired=engine.process_events_total() - events_before,
-        worker=worker_identity(),
-        started_at=started_at,
-    )
+    else:
+        wall = time.perf_counter() - start
+        outcome = ShardResult(
+            task_id=task.task_id,
+            index=task.index,
+            seed=task.seed,
+            payload=payload,
+            wall_seconds=wall,
+            events_fired=engine.process_events_total() - events_before,
+            worker=worker_identity(),
+            started_at=started_at,
+        )
+    if sys.getallocatedblocks() - blocks_before > FENCE_COLLECT_BLOCKS:
+        # A finished simulation is one large cyclic graph (components,
+        # the simulator and the callbacks still queued in it) that only
+        # the cyclic collector can free.  Collect it here, while it is
+        # most of the heap, instead of letting the next shard grow the
+        # heap around it.
+        gc.collect()
+    return outcome
 
 
 def encode_payload(payload: Any) -> Any:

@@ -473,7 +473,19 @@ class Scenario:
             body = self._measured_flow(flow, uid)
         else:
             body = self._measured_flow_reliable(flow, uid)
-        self.sim.spawn(body, name=f"flow.{flow.group}")
+        process = self.sim.spawn(body, name=f"flow.{flow.group}")
+        process.done.add_callback(self._flow_finished)
+
+    def _flow_finished(self, done) -> None:
+        """Fail the run with a measured flow's exception.
+
+        Nothing else reads a flow process's result, so without this a
+        model error inside any of its transactions would only show up
+        later as the generic "event queue drained" error.
+        """
+        exc = done.exception
+        if exc is not None and not self._all_done.done:
+            self._all_done.set_exception(exc)
 
     def _flow_window_done(self) -> None:
         self._flows_remaining -= 1

@@ -8,7 +8,8 @@ built on.  It provides:
 * :class:`~repro.sim.engine.Future` — a one-shot completion token that
   processes can wait on.
 * :class:`~repro.sim.engine.Process` — generator-based cooperative
-  processes (``yield delay`` / ``yield future``).
+  processes (``yield delay`` / ``yield future`` / ``yield generator``,
+  the last a call: a sub-transaction that runs inside the caller).
 * :class:`~repro.sim.resource.Resource` — FIFO mutual exclusion with
   queueing, used for buses, ports, and controllers.
 * :class:`~repro.sim.resource.Pipe` — a latency/bandwidth-modelled
@@ -25,7 +26,14 @@ reproducible.
 """
 
 from repro.sim.component import Component
-from repro.sim.engine import Future, Process, Simulator, SimulationError, Timer
+from repro.sim.engine import (
+    Future,
+    Process,
+    ProcessBody,
+    Simulator,
+    SimulationError,
+    Timer,
+)
 from repro.sim.resource import Pipe, Queue, Resource
 from repro.sim.stats import Histogram, StatRecorder
 
@@ -35,6 +43,7 @@ __all__ = [
     "Histogram",
     "Pipe",
     "Process",
+    "ProcessBody",
     "Queue",
     "Resource",
     "SimulationError",

@@ -31,17 +31,47 @@ its ``seq`` is always smaller.  The merge test is therefore just
 comparison, and the executed ``(time, seq)`` order stays bit-identical
 to a single heap.
 
-Processes are plain Python generators.  A process may yield:
+Processes are plain Python generators.  A process may yield five kinds
+of awaitable:
 
 * an ``int`` — sleep for that many ticks;
+* ``None`` — yield the floor (resume in the same tick, after already
+  scheduled same-tick events);
 * a :class:`Future` — suspend until the future completes, receiving the
   future's value as the result of the ``yield``;
 * a :class:`Process` — equivalent to yielding its ``done`` future;
-* ``None`` — yield the floor (resume in the same tick, after already
-  scheduled same-tick events).
+* a generator — a **call**: the generator (a sub-transaction such as a
+  memory-port read) runs inside the calling process, and its ``return``
+  value (or exception) becomes the result of the ``yield``.
 
 A process's ``return`` value becomes the result of its ``done`` future, so
-processes compose: a parent can ``yield child.done``.
+processes compose: a parent can ``yield child.done``.  When the child is
+not concurrent with the parent — the parent waits for it right away —
+the parent yields the child's generator instead and no process is
+created::
+
+    >>> sim = Simulator()
+    >>> def read(address):
+    ...     yield 30                      # the sub-transaction's latency
+    ...     return address + 1
+    >>> def driver():
+    ...     first = yield read(10)        # a call, not a spawned process
+    ...     second = yield read(first)
+    ...     return (second, sim.now)
+    >>> sim.run_until(driver())
+    (12, 60)
+
+A call is order-identical to spawning the callee and waiting on its
+done-future (``yield sim.spawn(g).done``): the two take the same
+``seq`` slots.  The spawn queues one ring entry for the callee's first
+step; the call queues one ring entry for it at the same point.  The
+callee's completion resumes the waiting caller through one ring entry
+(:meth:`Process._resume`); the call's return queues one ring entry that
+sends the return value into the caller.  Nothing else allocates a
+``seq``, so every executed ``(time, seq)`` stays where it was; only the
+*owner* of the callee's events changes (they belong to the caller's
+process).  An exception in the callee is thrown into the caller at its
+``yield``, so a failing sub-transaction can no longer strand its caller.
 
 Performance
 -----------
@@ -108,7 +138,8 @@ import os
 from collections import deque
 from heapq import heappop, heappush
 from sys import getrefcount
-from typing import Any, Callable, Dict, Generator, Iterable, Optional, Tuple
+from types import GeneratorType
+from typing import Any, Callable, Dict, Generator, Iterable, Optional, Tuple, Union
 
 ProcessBody = Generator[Any, Any, Any]
 
@@ -242,6 +273,12 @@ class Future:
             raise self._exception
         return self._value
 
+    @property
+    def exception(self) -> Optional[BaseException]:
+        """The exception the future failed with (``None`` while pending
+        or after a successful completion)."""
+        return self._exception
+
     def set_result(self, value: Any = None) -> None:
         """Complete the future; wakes all waiters in subscription order."""
         if self._done:
@@ -356,6 +393,12 @@ class Process:
     Created via :meth:`Simulator.spawn`.  The process's eventual return
     value (or exception) is exposed through :attr:`done`, itself a
     :class:`Future`.
+
+    A process runs one generator at a time, ``body``.  When that
+    generator yields another generator, the process *calls* it: the
+    caller is pushed on ``_callers`` and the callee becomes ``body``
+    until it returns (its value is sent back into the caller) or raises
+    (the exception is thrown into the caller at its ``yield``).
     """
 
     __slots__ = (
@@ -367,6 +410,7 @@ class Process:
         "_step_bound",
         "_resume_bound",
         "_waiting",
+        "_callers",
     )
 
     def __init__(self, sim: "Simulator", body: ProcessBody, name: str = ""):
@@ -386,15 +430,16 @@ class Process:
         self._step_bound = self._step
         self._resume_bound = self._resume
         self._waiting: Optional[Future] = None
+        self._callers: Optional[list] = None
 
     def _step(self, send_value: Any = None) -> None:
         try:
             yielded = self._send(send_value)
         except StopIteration as stop:
-            self.done.set_result(stop.value)
+            self._return(stop.value)
             return
-        except BaseException as exc:  # model bug: propagate through done
-            self.done.set_exception(exc)
+        except BaseException as exc:  # model bug: propagate to the caller
+            self._raise(exc)
             return
         # Refcount-checked recycle of the future this step consumed.
         # Once ``send`` has resumed the generator, the frame's reference
@@ -418,10 +463,10 @@ class Process:
                 if len(pool) < _FUTURE_POOL_CAP:
                     pool.append(w)
         # Dispatch is inlined for the common yields (exact int, None,
-        # exact Future); anything else takes _dispatch_slow.  The inline
-        # paths replicate Simulator.schedule(delay, self._step) without
-        # the call: bump seq, append to the ring (zero delay) or push on
-        # the heap (positive delay).
+        # exact Future, generator); anything else takes _dispatch_slow.
+        # The inline paths replicate Simulator.schedule(delay,
+        # self._step) without the call: bump seq, append to the ring
+        # (zero delay) or push on the heap (positive delay).
         sim = self.sim
         cls = type(yielded)
         if cls is int:
@@ -454,6 +499,8 @@ class Process:
                     callbacks.append(self._resume_bound)
                 else:
                     yielded._callbacks = [callbacks, self._resume_bound]
+        elif cls is GeneratorType:
+            self._call(yielded)
         else:
             self._dispatch_slow(yielded)
 
@@ -468,12 +515,75 @@ class Process:
             yielded.add_callback(self._resume_bound)
         elif isinstance(yielded, Process):
             yielded.done.add_callback(self._resume_bound)
+        elif isinstance(yielded, GeneratorType):
+            self._call(yielded)
         else:
             self._throw(
                 SimulationError(
                     f"process {self.name!r} yielded unsupported {yielded!r}"
                 )
             )
+
+    def _call(self, callee: ProcessBody) -> None:
+        """Run ``callee`` inside this process until it returns.
+
+        Its first step is queued exactly where :meth:`Simulator.spawn`
+        would queue a spawned callee's (one ring entry, same ``seq``).
+        """
+        callers = self._callers
+        if callers is None:
+            self._callers = [self.body]
+        else:
+            callers.append(self.body)
+        self.body = callee
+        self._send = callee.send
+        sim = self.sim
+        seq = sim._seq + 1
+        sim._seq = seq
+        sim._ring_append((seq, self._step_bound, ()))
+
+    def _return(self, value: Any) -> None:
+        """The running generator returned ``value``: send it into the
+        caller, or complete :attr:`done` if there is none."""
+        if self._callers:
+            self._resume_caller(self._step_bound, value)
+        else:
+            self._release()
+            self.done.set_result(value)
+
+    def _raise(self, exc: BaseException) -> None:
+        """The running generator raised ``exc``: throw it into the
+        caller at its ``yield``, or fail :attr:`done` if there is none."""
+        if self._callers:
+            self._resume_caller(self._throw, exc)
+        else:
+            self._release()
+            self.done.set_exception(exc)
+
+    def _resume_caller(self, resume: Callable[[Any], None], arg: Any) -> None:
+        """Make the innermost caller the running generator again and
+        queue ``resume(arg)`` for it.
+
+        That one ring entry is the one a spawned callee's completion
+        would have queued through :meth:`_resume`.
+        """
+        caller = self._callers.pop()
+        self.body = caller
+        self._send = caller.send
+        sim = self.sim
+        seq = sim._seq + 1
+        sim._seq = seq
+        sim._ring_append((seq, resume, (arg,)))
+
+    def _release(self) -> None:
+        """Drop the pre-bound methods of a finished process.
+
+        Each one refers back to the process, so while they are held a
+        finished process is a reference cycle that only the cyclic
+        garbage collector can free; dropping them lets it go as soon as
+        the last outside reference does.
+        """
+        self._send = self._step_bound = self._resume_bound = None
 
     def _resume(self, future: Future) -> None:
         # Defer the resumption through the event queue: a future's
@@ -504,10 +614,10 @@ class Process:
         try:
             yielded = self.body.throw(exc)
         except StopIteration as stop:
-            self.done.set_result(stop.value)
+            self._return(stop.value)
             return
-        except BaseException as raised:  # model bug: propagate through done
-            self.done.set_exception(raised)
+        except BaseException as raised:  # model bug: propagate to the caller
+            self._raise(raised)
             return
         self._dispatch_slow(yielded)
 
@@ -877,12 +987,19 @@ class Simulator:
             self._events_fired += executed
             _events_fired_total += executed
 
-    def run_until(self, future: Future, max_events: Optional[int] = None) -> Any:
+    def run_until(
+        self, future: Union[Future, ProcessBody], max_events: Optional[int] = None
+    ) -> Any:
         """Run until ``future`` completes and return its value.
 
-        Raises :class:`SimulationError` if the event queue drains first.
+        ``future`` may also be a generator, which is spawned first — so
+        a sub-transaction like ``sim.run_until(port.read(0))`` runs to
+        completion directly.  Raises :class:`SimulationError` if the
+        event queue drains first.
         """
         global _events_fired_total
+        if isinstance(future, GeneratorType):
+            future = self.spawn(future).done
         if self.profile or self._trace is not None:
             if self.batch:
                 return self._run_until_instrumented_batched(future, max_events)

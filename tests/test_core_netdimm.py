@@ -159,7 +159,7 @@ class TestArbitration:
         # Saturate the nMC with nNIC receive traffic; let the bursts
         # reach the nMC queues, then read again from the host side.
         for i in range(50):
-            device.nic_receive_dma(0x100000 + i * 2048, 1514, 0x200)
+            sim.spawn(device.nic_receive_dma(0x100000 + i * 2048, 1514, 0x200))
         sim.run(until=sim.now + 200_000)  # 200 ns into the storm
         start = sim.now
         sim.run_until(device.device_read(0xA00000, CACHELINE))

@@ -121,7 +121,9 @@ class TestChannelSharing:
         sim.run_until(port_a.read(0))
         alone = sim.now
         start = sim.now
-        both = sim.all_of([port_a.read(0), port_b.read(0)])
+        both = sim.all_of(
+            [sim.spawn(port_a.read(0)).done, sim.spawn(port_b.read(0)).done]
+        )
         sim.run_until(both)
         # The second port's command/data phases queued behind the first;
         # media latency overlaps, so the total is far less than 2x.

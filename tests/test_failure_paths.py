@@ -56,11 +56,12 @@ class TestRingBackpressure:
         # Fill the ring without letting the device drain it.
         for _ in range(node.tx_ring.size - 1):
             node.tx_ring.produce(0x1000, 64)
-        done = node.transmit(Packet(size_bytes=64))
+        process = sim.spawn(node.transmit(Packet(size_bytes=64)))
         sim.run(max_events=2_000_000)
         # The transmit process died on RingFullError; the node surfaces
         # it rather than silently dropping the packet.
-        assert not done.done
+        with pytest.raises(RingFullError):
+            process.done.value
 
     def test_ring_full_error_type(self):
         from repro.nic.descriptor import DescriptorRing
@@ -100,3 +101,46 @@ class TestKernelErrorPropagation:
         forever_pending = sim.future()
         with pytest.raises(SimulationError):
             sim.run_until(forever_pending)
+
+
+class MediaFault(RuntimeError):
+    """A model error raised deep inside a NetDIMM device transaction."""
+
+
+class TestSubTransactionFailures:
+    """A sub-transaction's exception reaches the scenario's caller.
+
+    It used to land in the done-future of a spawned process nobody
+    read, stranding the caller; the run then died later with the
+    generic "event queue drained before future completed".
+    """
+
+    @staticmethod
+    def _broken_rx_dma(self, buffer_address, size_bytes, descriptor_address):
+        yield self.params.nic.nnic_dma_setup
+        raise MediaFault(f"nMC rejected {size_bytes} B at {buffer_address:#x}")
+
+    @pytest.mark.parametrize("warm_packets", [1, 0], ids=["warmup", "measured"])
+    def test_device_error_surfaces_from_simulate(self, monkeypatch, warm_packets):
+        from repro import api
+        from repro.core.netdimm import NetDIMMDevice
+        from repro.scenario import ScenarioSpec
+
+        monkeypatch.setattr(NetDIMMDevice, "_nic_rx_body", self._broken_rx_dma)
+        spec = ScenarioSpec.two_node("netdimm", 256, warm_packets=warm_packets)
+        with pytest.raises(MediaFault, match="nMC rejected 256 B"):
+            api.simulate(spec)
+
+    def test_device_error_under_fault_injection(self, monkeypatch):
+        from dataclasses import replace
+
+        from repro import api
+        from repro.core.netdimm import NetDIMMDevice
+        from repro.faults import FaultSpec, RecoverySpec
+        from repro.scenario import ScenarioSpec
+
+        monkeypatch.setattr(NetDIMMDevice, "_nic_rx_body", self._broken_rx_dma)
+        base = ScenarioSpec.two_node("netdimm", 256, warm_packets=0)
+        spec = replace(base, faults=FaultSpec(recovery=RecoverySpec()))
+        with pytest.raises(MediaFault):
+            api.simulate(spec)

@@ -102,15 +102,17 @@ class TestLinkTransactions:
         solo_link = PCIeLink(solo_sim, "pcie")
         solo_sim.run_until(solo_link.read(4096))
         solo = solo_sim.now
-        both = sim.all_of([link.read(4096), link.read(4096)])
+        both = sim.all_of(
+            [sim.spawn(link.read(4096)).done, sim.spawn(link.read(4096)).done]
+        )
         sim.run_until(both)
         assert sim.now > solo  # they queued on the upstream direction
 
     def test_directions_independent(self, sim, link):
         # A downstream write and an upstream write do not queue on each
         # other.
-        down = link.posted_write(4096, toward_device=True)
-        up = link.posted_write(4096, toward_device=False)
+        down = sim.spawn(link.posted_write(4096, toward_device=True)).done
+        up = sim.spawn(link.posted_write(4096, toward_device=False)).done
         sim.run_until(sim.all_of([down, up]))
         solo_sim = Simulator()
         solo_link = PCIeLink(solo_sim, "pcie")

@@ -7,6 +7,7 @@ across a worker that was SIGKILLed mid-sweep and a resume that picked
 up the pieces.
 """
 
+import gc
 import json
 import multiprocessing
 import os
@@ -15,6 +16,7 @@ import socket
 import subprocess
 import sys
 import time
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -78,6 +80,26 @@ def _exit_executor(args):
 
 
 register_kind("test-exit", _exit_executor)
+
+
+# A task kind that leaves a ring of garbage objects behind, the way a
+# finished simulation leaves its cyclic object graph.
+class _GarbageNode:
+    __slots__ = ("peer", "__weakref__")
+
+
+_GARBAGE_REFS = []
+
+
+def _garbage_executor(args):
+    nodes = [_GarbageNode() for _ in range(args["nodes"])]
+    for node, peer in zip(nodes, nodes[1:] + nodes[:1]):
+        node.peer = peer
+    _GARBAGE_REFS.append(weakref.ref(nodes[0]))
+    return {"nodes": args["nodes"]}
+
+
+register_kind("test-garbage", _garbage_executor)
 
 
 def _flaky_tasks(count, explode=()):
@@ -160,6 +182,31 @@ class TestExecuteFence:
         assert "RuntimeError" in outcome.traceback
         assert outcome.seed == derive("flaky[1]", 0)
         assert "flaky[1]" in outcome.summary()
+
+    @pytest.fixture
+    def automatic_gc_off(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    @staticmethod
+    def _garbage_task(nodes):
+        return Task(kind="test-garbage", task_id="garbage[0]",
+                    args={"nodes": nodes}, index=0)
+
+    def test_large_cyclic_leftovers_are_collected_at_the_fence(
+        self, automatic_gc_off
+    ):
+        outcome = execute(self._garbage_task(60_000))
+        assert outcome.payload == {"nodes": 60_000}
+        assert _GARBAGE_REFS[-1]() is None
+
+    def test_small_leftovers_skip_the_collection(self, automatic_gc_off):
+        """A calibration trial's few leftovers are not worth a full
+        collection per trial; they wait for the automatic collector."""
+        execute(self._garbage_task(100))
+        assert _GARBAGE_REFS[-1]() is not None
 
     def test_outcomes_roundtrip_through_checkpoint_documents(self):
         from repro.runtime.tasks import outcome_from_dict
