@@ -5,9 +5,10 @@ scenarios, the number of executed events, the final clock and a sha256
 digest of the ``(time, seq)`` pair of every executed event.  The
 scenarios cover every NIC kind's two-node one-way run (the
 ``measure_one_way`` setup), a mixed-NIC incast over a clos fabric, a
-background-load scenario and a faulted two-node run (drops, a NIC stall,
-retransmissions), so every memory, PCIe, clone and driver transaction
-path, and the driver's recovery loop, is on the stream.
+background-load scenario, a faulted two-node run (drops, a NIC stall,
+retransmissions) and a small NetDIMM clos incast at three seeds, so
+every memory, PCIe, clone and driver transaction path, and the driver's
+recovery loop, is on the stream.
 
 Callback owners are deliberately *not* part of the digest: owner labels
 name the process a callback belongs to, and a refactor that runs a
@@ -66,6 +67,35 @@ def _chaos_spec():
     return replace(base, name="chaos-streams", seed=7, faults=faults)
 
 
+CLOS_INCAST_SEEDS = (1, 11, 2019)
+"""Seeds of the four-host NetDIMM clos incast: the traffic plan (and so
+the queueing on the shared ToR egress) differs per seed."""
+
+
+def _clos_incast_spec(seed: int):
+    """Four NetDIMM hosts on one ToR, seeded incast into ``h0``."""
+    from repro.scenario import FabricSpec, NodeSpec, ScenarioSpec, TrafficSpec
+
+    return ScenarioSpec(
+        name=f"clos4-incast-{seed}",
+        seed=seed,
+        nodes=tuple(
+            NodeSpec(name=f"h{index}", nic_kind="netdimm") for index in range(4)
+        ),
+        fabric=FabricSpec(kind="clos", hosts_per_rack=4, queue_depth=8),
+        traffic=(
+            TrafficSpec(
+                kind="incast",
+                dst="h0",
+                packets=8,
+                size_bytes=1024,
+                mean_interarrival_ns=2000.0,
+                label="incast",
+            ),
+        ),
+    )
+
+
 def stream_cases():
     """``(case name, spec factory)`` for every pinned scenario."""
     from repro.driver.registry import NIC_KINDS
@@ -83,6 +113,11 @@ def stream_cases():
              lambda file_name=file_name: _example_spec(file_name))
         )
     cases.append(("chaos/netdimm/1024", _chaos_spec))
+    for seed in CLOS_INCAST_SEEDS:
+        cases.append(
+            (f"clos4_incast/netdimm/seed{seed}",
+             lambda seed=seed: _clos_incast_spec(seed))
+        )
     return cases
 
 
