@@ -82,9 +82,6 @@ def pytest_sessionfinish(session, exitstatus):
             meta={
                 "exitstatus": int(exitstatus),
                 "tests": len(_RECORDS),
-                # Which kernel lane produced these numbers — lets the
-                # regression gate compare batched vs fallback runs.
-                "kernel_batch": engine.batching_enabled(),
                 # The machine facts a speed-up claim must carry.
                 "usable_cpus": len(os.sched_getaffinity(0)),
                 "python": platform.python_version(),

@@ -11,7 +11,8 @@ Three artifacts are produced:
   kernel workload, recorded through ``Simulator(trace=...)``.
 * ``golden_scenario_streams.json`` — per scenario (every NIC kind's
   two-node one-way run, ``examples/incast_mixed.json``,
-  ``examples/background_load.json``) the event count, final clock and
+  ``examples/background_load.json``, a faulted two-node run, a
+  four-host clos incast at three seeds) the event count, final clock and
   sha256 of the executed ``(time, seq)`` stream, owners excluded (see
   ``tests/test_scenario_streams.py``).
 * ``fig5_baseline.json`` — the fig5 experiment artifact (takes a few

@@ -22,8 +22,8 @@ Everything a user (or the CLI) does goes through a handful of verbs::
   ``Job.artifact()`` drive it, :func:`collect` gathers many, and
   :func:`resume` picks a killed sweep back up from its run directory.
 * :func:`run_experiment` — the classic convenience wrapper around the
-  experiment harness; returns a :class:`HarnessRun` (its ``jobs=N``
-  form is deprecated in favour of :func:`submit`).
+  experiment harness; returns a :class:`HarnessRun` (parallel and
+  distributed runs go through :func:`submit`).
 * :func:`diff_artifacts` — compare two experiment artifacts
   metric-by-metric against the paper-target bands.
 * :func:`format_report` — the human-readable report for either result
@@ -51,15 +51,12 @@ And the job surface in one line (an inline experiment sweep):
 ['table1']
 
 The deeper modules remain importable (this facade is a thin veneer, not
-a wall), but the old convenience entry points
-(``repro.scenario.run_scenario`` and friends) now emit
-``DeprecationWarning`` and forward here.
+a wall).
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from typing import Any, List, Mapping, Optional, Sequence, Union
 
 from repro.analysis.targets import PAPER_TARGETS, aggregate_loss, registry_markdown
@@ -426,32 +423,14 @@ def calibrate(
     return report
 
 
-_JOBS_UNSET: Any = object()
+def run_experiment(names: Optional[Sequence[str]] = None) -> HarnessRun:
+    """Run the paper's experiments (all when ``names`` is None), inline.
 
-
-def run_experiment(
-    names: Optional[Sequence[str]] = None, jobs: Any = _JOBS_UNSET
-) -> HarnessRun:
-    """Run the paper's experiments (all when ``names`` is None).
-
-    A thin wrapper over the harness.  The ``jobs=N`` form is deprecated
-    — use :func:`submit` (or ``run_experiments(config=SweepConfig(...))``)
-    for parallel and distributed runs.
+    A thin wrapper over the harness; use :func:`submit` (or
+    ``run_experiments(config=SweepConfig(...))``) for parallel and
+    distributed runs.
     """
-    if jobs is _JOBS_UNSET:
-        return _run_experiments(names, config=SweepConfig())
-    warnings.warn(
-        "run_experiment(jobs=N) is deprecated; use "
-        "api.submit(names, backend='pool', jobs=N) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if not isinstance(jobs, int) or jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return _run_experiments(
-        names,
-        config=SweepConfig(backend="pool" if jobs > 1 else "local", jobs=jobs),
-    )
+    return _run_experiments(names, config=SweepConfig())
 
 
 def diff_artifacts(

@@ -38,10 +38,6 @@ class Bank:
         self.row_misses = 0
         self.row_conflicts = 0
 
-    def is_open(self, row: int) -> bool:
-        """Whether ``row`` is currently in the row buffer."""
-        return self.open_row == row
-
     def classify(self, row: int) -> str:
         """'hit' (row open), 'miss' (bank idle), or 'conflict' (other row)."""
         if self.open_row is None:

@@ -38,19 +38,13 @@ class MemRequest:
     completion: Optional[Future] = None
     issue_started: bool = dataclass_field(default=False, repr=False)
     runs: Optional[list] = dataclass_field(default=None, repr=False)
-    """Batched-path coordinates: ``(bank, global_row, line_count)`` per
-    same-row run, precomputed once at :meth:`MemoryController.access`
-    (``None`` on the per-line fallback path)."""
+    """``(bank, global_row, line_count)`` per same-row run, precomputed
+    once at :meth:`MemoryController.access`."""
 
     @property
     def num_lines(self) -> int:
         """Cachelines touched (requests are line-aligned in this model)."""
         return max(1, -(-self.size_bytes // CACHELINE))
-
-    def line_addresses(self) -> List[int]:
-        """The line-aligned addresses this request touches."""
-        base = self.address - (self.address % CACHELINE)
-        return [base + i * CACHELINE for i in range(self.num_lines)]
 
 
 class MemoryController(Component):
@@ -101,13 +95,11 @@ class MemoryController(Component):
         self._scheduler_running = False
         self._busy_until = 0
         self._hit_streak = 0
-        # Batched drain mode (see "Batched drain" in repro.sim.engine):
-        # requests carry precomputed (bank, row, count) runs and the
-        # scheduler skips the per-line address decode.  The page-level
+        # Requests carry precomputed (bank, row, count) runs, so the
+        # scheduler never decodes an address per line.  The page-level
         # coords cache is valid because every DRAM coordinate above the
         # cacheline sits above the 4 KB page offset, so one page maps to
         # exactly one (bank, global_row).
-        self._batch = bool(sim.batch)
         self._coords_cache: dict[int, tuple[Bank, int]] = {}
         if refresh_enabled:
             self.sim.spawn(self._refresh_loop(), name=f"{name}.refresh")
@@ -146,8 +138,7 @@ class MemoryController(Component):
             arrival=sim._now,
             completion=pool.pop() if pool else Future(sim),
         )
-        if self._batch:
-            request.runs = self._request_runs(request)
+        request.runs = self._request_runs(request)
         queue = self._write_queue if is_write else self._read_queue
         queue.append(request)
         self.stats.count("writes" if is_write else "reads")
@@ -169,16 +160,6 @@ class MemoryController(Component):
     def queued_requests(self) -> int:
         """Requests waiting to be issued."""
         return len(self._read_queue) + len(self._write_queue)
-
-    def bank(self, address: int) -> Bank:
-        """The bank state machine serving ``address`` (created lazily)."""
-        decoded = self.geometry.decode(address)
-        key = decoded.global_bank
-        bank = self._banks.get(key)
-        if bank is None:
-            bank = Bank(self.timing)
-            self._banks[key] = bank
-        return bank
 
     def _coords(self, address: int) -> tuple[Bank, int]:
         """(bank, global_row) for ``address``, cached per 4 KB page."""
@@ -267,28 +248,17 @@ class MemoryController(Component):
         best_index = 0
         best_key = None
         best_was_hit = False
-        if self._batch:
-            # Batched path: the row-hit test is two attribute loads on
-            # the precomputed head run — no decode, no bank lookup.
-            for index, request in enumerate(queue):
-                bank, row, _count = request.runs[0]
-                row_hit = bank.open_row == row
-                hit_rank = 0 if (row_hit and honor_row_hits) else 1
-                key = (hit_rank, request.priority, request.arrival, index)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_index = index
-                    best_was_hit = row_hit
-        else:
-            for index, request in enumerate(queue):
-                decoded = self.geometry.decode(request.address)
-                row_hit = self.bank(request.address).is_open(decoded.global_row)
-                hit_rank = 0 if (row_hit and honor_row_hits) else 1
-                key = (hit_rank, request.priority, request.arrival, index)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_index = index
-                    best_was_hit = row_hit
+        # The row-hit test is two attribute loads on the precomputed
+        # head run — no decode, no bank lookup.
+        for index, request in enumerate(queue):
+            bank, row, _count = request.runs[0]
+            row_hit = bank.open_row == row
+            hit_rank = 0 if (row_hit and honor_row_hits) else 1
+            key = (hit_rank, request.priority, request.arrival, index)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_index = index
+                best_was_hit = row_hit
         request = queue.pop(best_index)
         if best_was_hit:
             # Streak is counted in cachelines, not requests, so a single
@@ -304,36 +274,22 @@ class MemoryController(Component):
         now = self.now
         finish = now
         tBURST = self.timing.tBURST
-        if self._batch:
-            # Batched path: one access_ready_batch call per same-row run,
-            # bus occupancy folded in with plain arithmetic, one counter
-            # update per request.  Timing-identical to the per-line loop.
-            bus_free = self._bus_free
-            is_write = request.is_write
-            num_lines = 0
-            for bank, row, count in request.runs:
-                for data_time in bank.access_ready_batch(now, row, is_write, count):
-                    transfer_end = bus_free + tBURST
-                    if data_time > transfer_end:
-                        transfer_end = data_time
-                    bus_free = transfer_end
-                num_lines += count
-            self._bus_free = bus_free
-            if transfer_end > finish:
-                finish = transfer_end
-            self.stats.count("bus_busy_ticks", tBURST * num_lines)
-        else:
-            for line_address in request.line_addresses():
-                decoded = self.geometry.decode(line_address)
-                bank = self.bank(line_address)
-                data_time = bank.access_ready_time(
-                    now, decoded.global_row, request.is_write
-                )
-                transfer_end = max(data_time, self._bus_free + tBURST)
-                self.stats.count("bus_busy_ticks", tBURST)
-                self._bus_free = transfer_end
-                finish = max(finish, transfer_end)
+        # One access_ready_batch call per same-row run, bus occupancy
+        # folded in with plain arithmetic, one counter update per request.
+        bus_free = self._bus_free
+        is_write = request.is_write
+        for bank, row, count in request.runs:
+            for data_time in bank.access_ready_batch(now, row, is_write, count):
+                transfer_end = bus_free + tBURST
+                if data_time > transfer_end:
+                    transfer_end = data_time
+                bus_free = transfer_end
+        self._bus_free = bus_free
+        if transfer_end > finish:
+            finish = transfer_end
+        num_lines = request.num_lines
+        self.stats.count("bus_busy_ticks", tBURST * num_lines)
         self.stats.sample("request_latency_ns", (finish - request.arrival) / 1000)
-        self.stats.count("lines_transferred", request.num_lines)
+        self.stats.count("lines_transferred", num_lines)
         self._busy_until = max(self._busy_until, finish)
         self.sim.schedule_at(finish, request.completion.set_result, finish)

@@ -30,11 +30,10 @@ single simulation deterministic), tasks share no state, and merge
 order is the task-index order — so any backend's per-experiment
 results are byte-for-byte identical to the serial run's.
 
-The old ``run_experiments(names, jobs=N)`` signature still works but
-emits a :class:`DeprecationWarning`; the canonical spelling is
-``run_experiments(names, config=SweepConfig(backend="pool", jobs=N))``
-or, for the full job surface (status, resumable run directories,
-provenance manifests), :func:`submit_experiments` → :class:`Job`.
+Parallel runs pass ``run_experiments(names,
+config=SweepConfig(backend="pool", jobs=N))``; the full job surface
+(status, resumable run directories, provenance manifests) is
+:func:`submit_experiments` → :class:`Job`.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.targets import PAPER_TARGETS
 from repro.experiments import fig5, fig11, fig12a, loaded_latency
@@ -59,7 +58,6 @@ from repro.runtime.job import Job, register_assembler
 from repro.runtime.tasks import (
     ShardResult,
     Task,
-    execute,
     register_kind,
 )
 from repro.scenario.builder import SCENARIO_SCHEMA, SCENARIO_SCHEMA_VERSION
@@ -502,63 +500,33 @@ register_assembler("experiment", _experiment_assembler)
 
 def run_experiments(
     names: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
-    executor_factory: Optional[Callable[[int], Any]] = None,
     *,
     config: Optional[SweepConfig] = None,
 ) -> HarnessRun:
     """Run the named experiments (all by default); returns a HarnessRun.
 
-    The canonical configuration is the keyword-only ``config``
-    (:class:`~repro.runtime.backends.SweepConfig`): ``SweepConfig()``
-    executes every task inline (no subprocesses — the debuggable
-    fallback); ``SweepConfig(backend="pool", jobs=N)`` fans tasks over
-    a process pool; ``SweepConfig(backend="workers", ...)`` runs the
-    distributed worker pool.  Any backend produces identical
-    per-experiment results: tasks are deterministic and merged in
-    task-index order.
+    ``config`` (:class:`~repro.runtime.backends.SweepConfig`) picks the
+    backend: the default ``SweepConfig()`` executes every task inline
+    (no subprocesses — the debuggable fallback);
+    ``SweepConfig(backend="pool", jobs=N)`` fans tasks over a process
+    pool; ``SweepConfig(backend="workers", ...)`` runs the distributed
+    worker pool.  Any backend produces identical per-experiment
+    results: tasks are deterministic and merged in task-index order.
 
-    ``jobs=N`` / ``executor_factory=`` are the pre-runtime spelling;
-    they still work but emit :class:`DeprecationWarning`.
-
-    Raises :class:`ValueError` for unknown experiment names, a
-    non-positive ``jobs``, or a shard failure (the job surface —
+    Raises :class:`ValueError` for unknown experiment names, and
+    :class:`RuntimeError` for a shard failure (the job surface —
     :func:`submit_experiments` — instead records failures as
     structured diagnostics).
     """
-    if jobs is not None or executor_factory is not None:
-        if config is not None:
-            raise ValueError(
-                "pass config=SweepConfig(...) or the legacy "
-                "jobs=/executor_factory=, not both"
-            )
-        warnings.warn(
-            "run_experiments(jobs=..., executor_factory=...) is deprecated; "
-            "pass config=SweepConfig(backend='pool', jobs=N) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if jobs is None:
-            jobs = 1
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        config = SweepConfig(
-            backend="pool" if jobs > 1 else "local", jobs=jobs
-        )
-    elif config is None:
+    if config is None:
         config = SweepConfig()
 
     names = normalize_names(names)
     tasks = plan_tasks(names)
 
     start = time.perf_counter()
-    if executor_factory is not None:
-        with executor_factory(min(jobs or 1, len(tasks) or 1)) as executor:
-            # map() preserves submission order, which is merge order.
-            outcomes = list(executor.map(execute, tasks))
-    else:
-        with make_backend(config) as backend:
-            outcomes = backend.run(tasks)
+    with make_backend(config) as backend:
+        outcomes = backend.run(tasks)
     total_wall = time.perf_counter() - start
 
     failures = [outcome for outcome in outcomes if not outcome.ok]

@@ -29,7 +29,6 @@ MAC/PHY — i.e. ``endhost wire pieces + path_latency``.
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults.engine import OK, FaultInjector
@@ -38,7 +37,7 @@ from repro.net.packet import Packet
 from repro.net.switch import Switch
 from repro.net.topology import INTER_DC_WAN_PROPAGATION, ClosTopology
 from repro.params import NetworkParams
-from repro.sim import Component, Future, Resource, Simulator
+from repro.sim import Component, Resource, Simulator
 from repro.units import transfer_time
 
 
@@ -142,11 +141,6 @@ class ClosFabric(Component):
         # link labels per packet.
         self._hop_plans: Dict[Tuple[str, str, int], tuple] = {}
         self._serialization_cache: Dict[int, int] = {}
-        # Batched drain mode (see repro.sim.engine): the uplink claim is
-        # inlined into transit instead of delegating through
-        # Resource.use — identical event sequence, one fewer generator
-        # frame per packet.
-        self._batch = bool(sim.batch)
         # Hybrid-fidelity coupling (repro.flow): set by
         # enable_flow_coupling when a scenario carries flow-level
         # traffic; None keeps the pure packet path byte-identical.
@@ -276,31 +270,7 @@ class ClosFabric(Component):
             wait = flow_load.queue_wait((src, first_hop), serialization)
             if wait:
                 yield wait
-        if self._batch:
-            # Inlined Resource.use(serialization) on the host uplink —
-            # the exact acquire/yield/recycle/hold/release sequence of
-            # repro.sim.resource.Resource.use without the delegated
-            # generator frame.
-            uplink = self._uplink(src)
-            sim = self.sim
-            pool = sim._future_pool
-            future = pool.pop() if pool else Future(sim)
-            request_time = sim._now
-            if not uplink._busy and not uplink._waiters:
-                uplink._busy = True
-                uplink.total_acquisitions += 1
-                future.set_result(request_time)
-            else:
-                uplink._ticket += 1
-                insort(uplink._waiters, (0, uplink._ticket, future))
-            granted_at = yield future
-            sim.recycle(future)
-            uplink.total_wait_ticks += granted_at - request_time
-            if serialization:
-                yield serialization
-            uplink.release()
-        else:
-            yield from self._uplink(src).use(serialization)
+        yield from self._uplink(src).use(serialization)
         yield self.params.propagation
         if injector is not None and (
             injector.link_verdict(first_link, self.now, packet) != OK
@@ -309,7 +279,7 @@ class ClosFabric(Component):
         if delivered:
             # Each switch: pipeline + contended finite-depth egress + cable.
             for switch, next_hop, wan_extra, link_label in hops:
-                forwarded = yield from switch.forward_transit(
+                forwarded = yield from switch.forward(
                     packet.size_bytes,
                     egress_port=next_hop,
                     tracer=tracer,
@@ -335,7 +305,7 @@ class ClosFabric(Component):
         packet.breakdown.add("wire", elapsed)
         if tracer is not None:
             # The end-to-end wire span; per-switch queue/transmit spans
-            # nest inside it (emitted by forward_transit above).
+            # nest inside it (emitted by Switch.forward above).
             tracer.add(packet.uid, "wire", "net", start, self.now)
         if delivered:
             self.stats.count("packets")

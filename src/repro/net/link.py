@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.params import DEFAULT, NetworkParams
-from repro.sim import Component, Future, Resource, Simulator
+from repro.sim import Component, ProcessBody, Resource, Simulator
 from repro.units import transfer_time
 
 
@@ -49,24 +49,18 @@ class EthernetWire(Component):
             + self.params.propagation
         )
 
-    def transmit(self, size_bytes: int, reverse: bool = False) -> Future:
-        """Event-driven transmission; future completes at full reception.
+    def transmit(self, size_bytes: int, reverse: bool = False) -> ProcessBody:
+        """Event-driven transmission: a sub-transaction returning at full
+        reception (``yield wire.transmit(...)``).
 
-        Concurrent packets in the same direction serialize on the link.
+        Concurrent packets in the same direction serialize on the link;
+        wrap each in ``sim.spawn`` to send them concurrently.
         """
-        done = self.sim.future()
-        bus = self._rx_bus if reverse else self._tx_bus
-        sim = self.sim
-        sim.spawn(self._transmit_body(size_bytes, bus, done),
-                  name=f"{self.name}.tx" if sim.named else "")
-        return done
-
-    def _transmit_body(self, size_bytes: int, bus: Resource, done: Future):
         start = self.now
+        bus = self._rx_bus if reverse else self._tx_bus
         yield self.params.mac_phy_latency
         yield from bus.use(self.serialization_ticks(size_bytes))
         yield self.params.propagation + self.params.mac_phy_latency
         self.stats.count("packets")
         self.stats.count("bytes", size_bytes)
         self.stats.sample("wire_ns", (self.now - start) / 1000)
-        done.set_result(None)

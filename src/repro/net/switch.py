@@ -17,13 +17,12 @@ unbounded behavior and its exact event sequence.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
 from typing import Deque, Dict, Optional
 
 from repro.faults.spec import FAULT_SWITCH_MODES
 from repro.params import DEFAULT, NetworkParams
-from repro.sim import Component, Future, Resource, Simulator
+from repro.sim import Component, Future, ProcessBody, Resource, Simulator
 from repro.units import transfer_time
 
 
@@ -53,12 +52,7 @@ class Switch(Component):
         self._egress_ports: Dict[str, Resource] = {}
         self._occupancy: Dict[str, int] = {}
         self._slot_waiters: Dict[str, Deque[Future]] = {}
-        # Batched drain mode (see repro.sim.engine): the egress claim is
-        # inlined into forward_transit instead of delegating through
-        # Resource.use — identical event sequence, two fewer generator
-        # frames per hop.  The serialization memo is mode-independent
-        # (transfer_time of a given size never changes).
-        self._batch = bool(sim.batch)
+        # Serialization memo: transfer_time of a given size never changes.
         self._serialization_cache: Dict[int, int] = {}
         # Hybrid-fidelity coupling (repro.flow): the owning ClosFabric
         # points every switch at the scenario's shared FlowLoadMap and
@@ -88,25 +82,18 @@ class Switch(Component):
             + self.params.propagation
         )
 
-    def forward(self, size_bytes: int, egress_port: str) -> Future:
-        """Event-driven forwarding through a (possibly contended) port."""
-        done = self.sim.future()
-        self.sim.spawn(
-            self._forward_body(size_bytes, egress_port, done),
-            name=f"{self.name}.fwd",
-        )
-        return done
-
-    def forward_transit(
+    def forward(
         self, size_bytes: int, egress_port: str, tracer=None, uid=None
-    ):
-        """Inline (``yield from``) form of :meth:`forward`.
+    ) -> ProcessBody:
+        """Event-driven forwarding through a (possibly contended) port.
 
-        Same event sequence without spawning a process per hop — the
-        fabric transit path runs one of these per switch per packet.
-        Returns True when the frame was forwarded; False when a full
-        output queue in ``lossy`` drop mode ate it (cut-through: the
-        overflow is decided at ingress, before any time is charged).
+        A sub-transaction: drive it with ``yield from`` (or ``yield``)
+        inside the caller's process — the fabric transit path runs one
+        per switch per packet — or wrap it in ``sim.spawn`` to run
+        several forwards concurrently.  Returns True when the frame was
+        forwarded; False when a full output queue in ``lossy`` drop mode
+        ate it (cut-through: the overflow is decided at ingress, before
+        any time is charged).
 
         ``tracer``/``uid`` (a :class:`repro.telemetry.SpanTracer` and
         the packet's flow uid) split the hop into two spans: the queue
@@ -169,31 +156,7 @@ class Switch(Component):
                 self.params.framed_bytes(size_bytes), self.params.link_bytes_per_ps
             )
             self._serialization_cache[size_bytes] = serialization
-        if self._batch:
-            # Inlined Resource.use(serialization) on the egress port:
-            # the exact acquire/yield/recycle/hold/release sequence of
-            # repro.sim.resource.Resource.use, minus the delegated
-            # generator frame per hop.
-            egress = self._egress(egress_port)
-            sim = self.sim
-            pool = sim._future_pool
-            future = pool.pop() if pool else Future(sim)
-            request_time = sim._now
-            if not egress._busy and not egress._waiters:
-                egress._busy = True
-                egress.total_acquisitions += 1
-                future.set_result(request_time)
-            else:
-                egress._ticket += 1
-                insort(egress._waiters, (0, egress._ticket, future))
-            granted_at = yield future
-            sim.recycle(future)
-            egress.total_wait_ticks += granted_at - request_time
-            if serialization:
-                yield serialization
-            egress.release()
-        else:
-            yield from self._egress(egress_port).use(serialization)
+        yield from self._egress(egress_port).use(serialization)
         if self.queue_depth is not None:
             self._release_slot(egress_port)
         yield self.params.propagation
@@ -202,10 +165,6 @@ class Switch(Component):
         if tracer is not None:
             tracer.add(uid, self.name, "switch", xmit_start, self.now)
         return True
-
-    def _forward_body(self, size_bytes: int, egress_port: str, done: Future):
-        forwarded = yield from self.forward_transit(size_bytes, egress_port)
-        done.set_result(forwarded)
 
     # -- finite output queue --------------------------------------------------
 

@@ -19,7 +19,6 @@ wire.
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import Dict, Optional
 
 from repro.params import PCIeParams
@@ -42,11 +41,6 @@ class PCIeLink(Component):
         # the header-only TLP outright).
         self._ser_cache: Dict[int, int] = {}
         self._header_ticks = self.tlp.header_serialization_ticks()
-        # Batched drain mode (see repro.sim.engine): direction-resource
-        # claims are inlined into the transaction bodies instead of
-        # delegating through Resource.use — identical event sequence,
-        # one fewer generator frame per link occupancy.
-        self._batch = bool(sim.batch)
 
     def _ser(self, size_bytes: int) -> int:
         ticks = self._ser_cache.get(size_bytes)
@@ -65,33 +59,10 @@ class PCIeLink(Component):
         return self._posted_body(size_bytes, toward_device)
 
     def _posted_body(self, size_bytes: int, toward_device: bool):
-        sim = self.sim
-        start = sim._now
+        start = self.sim._now
         ticks = self._ser(size_bytes) if size_bytes else self._header_ticks
         direction = self._downstream if toward_device else self._upstream
-        if self._batch:
-            # Inlined Resource.use on the link direction — the exact
-            # acquire/yield/recycle/hold/release sequence of
-            # repro.sim.resource.Resource.use without the delegated
-            # generator frame.
-            pool = sim._future_pool
-            future = pool.pop() if pool else Future(sim)
-            request_time = sim._now
-            if not direction._busy and not direction._waiters:
-                direction._busy = True
-                direction.total_acquisitions += 1
-                future.set_result(request_time)
-            else:
-                direction._ticket += 1
-                insort(direction._waiters, (0, direction._ticket, future))
-            granted_at = yield future
-            sim.recycle(future)
-            direction.total_wait_ticks += granted_at - request_time
-            if ticks:
-                yield ticks
-            direction.release()
-        else:
-            yield from direction.use(ticks)
+        yield from direction.use(ticks)
         yield self.params.propagation
         self.stats.count("posted_writes")
         self.stats.sample("posted_write_ns", (self.now - start) / 1000)
@@ -106,57 +77,21 @@ class PCIeLink(Component):
         return self._read_body(size_bytes, from_device)
 
     def _read_body(self, size_bytes: int, from_device: bool):
-        sim = self.sim
-        start = sim._now
+        start = self.sim._now
         request_direction = self._direction(toward_device=from_device)
         completion_direction = self._direction(toward_device=not from_device)
         first_chunk = min(size_bytes, self.params.max_read_request_size)
         remaining = size_bytes - first_chunk
-        if self._batch:
-            # Inlined Resource.use on each link direction (see
-            # _posted_body): request TLP, then the pipelined MRRS
-            # completion chunks, identical event sequence to the
-            # delegating path below.
-            pool = sim._future_pool
-            holds = (
-                (request_direction, self._header_ticks),
-                (completion_direction, self._ser(first_chunk)),
-            )
-            if remaining > 0:
-                # Remaining chunks stream back-to-back at link bandwidth.
-                holds += ((completion_direction, self._ser(remaining)),)
-            for index, (direction, ticks) in enumerate(holds):
-                future = pool.pop() if pool else Future(sim)
-                request_time = sim._now
-                if not direction._busy and not direction._waiters:
-                    direction._busy = True
-                    direction.total_acquisitions += 1
-                    future.set_result(request_time)
-                else:
-                    direction._ticket += 1
-                    insort(direction._waiters, (0, direction._ticket, future))
-                granted_at = yield future
-                sim.recycle(future)
-                direction.total_wait_ticks += granted_at - request_time
-                if ticks:
-                    yield ticks
-                direction.release()
-                if index == 0:
-                    # First request's full round trip: propagation out,
-                    # completer internal latency, completion back.
-                    yield self.params.propagation
-                    yield self.params.completion_overhead
-        else:
-            # Issue the first request and wait its full round trip;
-            # subsequent MRRS chunks are pipelined, so they only add
-            # serialization time.
-            yield from request_direction.use(self._header_ticks)
-            yield self.params.propagation
-            yield self.params.completion_overhead
-            yield from completion_direction.use(self._ser(first_chunk))
-            if remaining > 0:
-                # Remaining chunks stream back-to-back at link bandwidth.
-                yield from completion_direction.use(self._ser(remaining))
+        # Issue the first request and wait its full round trip;
+        # subsequent MRRS chunks are pipelined, so they only add
+        # serialization time.
+        yield from request_direction.use(self._header_ticks)
+        yield self.params.propagation
+        yield self.params.completion_overhead
+        yield from completion_direction.use(self._ser(first_chunk))
+        if remaining > 0:
+            # Remaining chunks stream back-to-back at link bandwidth.
+            yield from completion_direction.use(self._ser(remaining))
         yield self.params.propagation
         self.stats.count("reads")
         self.stats.sample("read_ns", (self.now - start) / 1000)

@@ -30,9 +30,8 @@ when the sweep names a run directory (``workers`` always does); the
 backends only ever execute the tasks they are handed, so a resume can
 pass just the pending shards.
 
-Configuration travels as a :class:`SweepConfig` — the keyword-only
-dataclass that replaced the old positional ``jobs=N`` plumbing (the
-same shim pattern PR 4 used for ``TraceConfig``).
+Configuration travels as a :class:`SweepConfig`, a keyword-only
+dataclass.
 """
 
 from __future__ import annotations

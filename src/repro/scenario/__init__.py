@@ -12,17 +12,9 @@
 
 The experiment layer sits on top: ``measure_one_way`` is the trivial
 two-node scenario, and fig12a's ``mode="fabric"`` replays the cluster
-traces over the live fabric built here.
-
-The convenience entry points that used to live here —
-``run_scenario``, ``format_report``, ``scenario_artifact``,
-``apply_overrides`` — are deprecated in favor of :mod:`repro.api`
-(``simulate``, ``format_report``) and :func:`repro.params.apply_overrides`;
-they still resolve (via a module ``__getattr__``) but emit
-``DeprecationWarning``.
+traces over the live fabric built here.  Running a spec end to end
+is :func:`repro.api.simulate`.
 """
-
-import warnings
 
 from repro.scenario.builder import (
     SCENARIO_SCHEMA,
@@ -49,40 +41,6 @@ __all__ = [
     "ScenarioResult",
     "ScenarioSpec",
     "TrafficSpec",
-    "apply_overrides",
     "build_scenario",
-    "format_report",
     "plan_traffic",
-    "run_scenario",
-    "scenario_artifact",
 ]
-
-_DEPRECATED = {
-    "apply_overrides": "repro.params.apply_overrides",
-    "format_report": "repro.api.format_report",
-    "run_scenario": "repro.api.simulate",
-    "scenario_artifact": "repro.scenario.builder.scenario_artifact",
-}
-
-
-def __getattr__(name):
-    if name in _DEPRECATED:
-        warnings.warn(
-            f"repro.scenario.{name} is deprecated; use {_DEPRECATED[name]}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.params import apply_overrides
-        from repro.scenario.builder import (
-            format_report,
-            run_scenario,
-            scenario_artifact,
-        )
-
-        return {
-            "apply_overrides": apply_overrides,
-            "format_report": format_report,
-            "run_scenario": run_scenario,
-            "scenario_artifact": scenario_artifact,
-        }[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

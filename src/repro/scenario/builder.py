@@ -24,7 +24,6 @@ pin.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from typing import Any, Dict, List, Optional, Tuple
@@ -46,11 +45,9 @@ __all__ = [
     "DeliveredPacket",
     "Scenario",
     "ScenarioResult",
-    "apply_overrides",  # canonical home is repro.params; re-exported for callers
     "build_scenario",
     "dump_artifact",
     "format_report",
-    "run_scenario",
     "scenario_artifact",
 ]
 
@@ -630,22 +627,6 @@ def build_scenario(
     stream is byte-identical either way).
     """
     return Scenario(spec, base_params=base_params, tracer=tracer)
-
-
-def run_scenario(
-    spec: ScenarioSpec, base_params: Optional[SystemParams] = None
-) -> ScenarioResult:
-    """Build and run in one step.
-
-    .. deprecated:: 1.1
-        Use :func:`repro.api.simulate` instead.
-    """
-    warnings.warn(
-        "repro.scenario.run_scenario is deprecated; use repro.api.simulate",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return build_scenario(spec, base_params=base_params).run()
 
 
 def scenario_artifact(entries: List[Tuple[ScenarioSpec, ScenarioResult]]) -> Dict[str, Any]:

@@ -22,14 +22,19 @@ Heap entries are ``(time, seq, fn, args)``; ring entries drop the
 redundant time field and are just ``(seq, fn, args)``, because a ring
 entry is created at the current tick (``schedule`` only routes
 ``delay == 0`` there) and the ring is drained before the clock
-advances.  Those two invariants also collapse the head-to-head merge:
-a heap entry can only precede the ring when it is due at the *current*
-tick, and such an entry was necessarily pushed before the clock
-reached this tick, i.e. before any live ring entry was created — so
-its ``seq`` is always smaller.  The merge test is therefore just
-"does the heap hold an entry for the current tick", no tuple
-comparison, and the executed ``(time, seq)`` order stays bit-identical
-to a single heap.
+advances.
+
+The run loops drain one tick at a time, and two invariants make that
+drain order-identical to a single heap.  First, a heap entry due at
+the *current* tick was necessarily pushed before the clock reached
+this tick, i.e. before any live ring entry was created — so its
+``seq`` is smaller than every ring entry's, and every due heap entry
+goes first.  Second, an executed callback can only append ring entries
+(zero delay) or push strictly-future heap entries, so once the due
+heap entries have run nothing can become due at this tick except ring
+entries, and the entire ring drains with no merge test at all.  Only
+then does the clock advance to the heap's head.  The executed
+``(time, seq)`` order stays bit-identical to popping one heap.
 
 Processes are plain Python generators.  A process may yield five kinds
 of awaitable:
@@ -79,10 +84,10 @@ Performance
 Besides the ring, three kernel fast paths matter for events/sec (see
 ``benchmarks/bench_kernel.py`` for the microbenchmarks that meter them):
 
-* ``run``/``run_until`` execute a tight loop with pre-bound locals when
-  no instrumentation is active; ``Process._step`` inlines the dispatch
-  of the common yields (``int`` sleep, ``None`` floor, ``Future`` wait)
-  instead of paying a second call per step.
+* ``run``/``run_until`` execute a tight loop with pre-bound locals;
+  ``Process._step`` inlines the dispatch of the common yields
+  (``int`` sleep, ``None`` floor, ``Future`` wait) instead of paying a
+  second call per step.
 * A future resume is a **single queued event**: completing a future
   calls :meth:`Process._resume`, which appends one ring entry that
   sends the future's (already extracted) value straight into the
@@ -103,38 +108,17 @@ and a process-wide total, and ``Simulator(trace=fn)`` streams
 branch on the ring/heap paths), models do, so with ``tracer = None``
 the event stream is bit-identical to an uninstrumented run.
 
-Batched drain
--------------
-
-The run loops come in two provably order-identical flavors, selected
-per simulator (``Simulator(batch=...)``), process-wide
-(:func:`set_batch_default`), or by the ``REPRO_KERNEL_BATCH``
-environment variable (``0`` forces the fallback):
-
-* the **per-event fallback** re-runs the ring/heap merge test before
-  every single event — the original loop, kept verbatim as the
-  reference implementation;
-* the **batched drain** exploits the two queue invariants once per
-  tick instead of once per event: every heap entry due at the current
-  tick precedes every live ring entry (smaller ``seq`` — see above),
-  so the loop first pops *all* due heap entries, and then — since an
-  executed callback can only append ring entries (zero delay) or push
-  strictly-future heap entries — drains the *entire* ring as one batch
-  with no merge test at all.
-
-Both flavors execute the identical ``(time, seq)`` stream; the golden
-event-order test runs the same workload under each and compares the
-streams element-for-element.  Model components (the switch's
-aggregate-serialization path, the DRAM controller's batched issue)
-consult :func:`batching_enabled` at construction so the whole stack
-flips with one switch — ``REPRO_KERNEL_BATCH=0`` is the pure-Python
-per-packet reference lane that CI benches against the batched lane.
+There is one run loop, traced or not.  At entry, ``run`` and
+``run_until`` bind a local ``hook``: :meth:`Simulator._instrument` when
+profiling or tracing is on, ``None`` otherwise.  The loop calls the hook
+with ``(time, seq, fn)`` before each callback, and with the hook off the
+only per-event cost is one ``is not None`` test on a local.  The golden
+streams are recorded through the same loop that production runs execute,
+so they pin that loop directly.
 """
 
 from __future__ import annotations
 
-import heapq
-import os
 from collections import deque
 from heapq import heappop, heappush
 from sys import getrefcount
@@ -153,19 +137,6 @@ delta across a call) without threading every simulator instance out.
 
 _profile_default = False
 """Whether new simulators profile by default (see :func:`set_profile_default`)."""
-
-_batch_default = os.environ.get("REPRO_KERNEL_BATCH", "1").strip().lower() not in (
-    "0",
-    "false",
-    "off",
-    "no",
-)
-"""Whether new simulators use the batched drain loops by default.
-
-``REPRO_KERNEL_BATCH=0`` in the environment selects the per-event
-fallback for the whole process — the reference lane CI benches the
-batched lane against.  See :func:`set_batch_default`.
-"""
 
 _profile_totals: Dict[str, int] = {}
 """Events per callback owner, aggregated across every profiling simulator."""
@@ -187,23 +158,6 @@ def set_profile_default(enabled: bool) -> None:
     """
     global _profile_default
     _profile_default = bool(enabled)
-
-
-def set_batch_default(enabled: bool) -> None:
-    """Make every *subsequently created* simulator batch (or not).
-
-    Models that keep their own batch/per-packet mode (the switch's
-    aggregate serialization, the DRAM controller's grouped issue) read
-    :func:`batching_enabled` at construction, so flipping this default
-    switches the entire stack, not just the kernel loop.
-    """
-    global _batch_default
-    _batch_default = bool(enabled)
-
-
-def batching_enabled() -> bool:
-    """Whether new simulators (and model fast paths) batch by default."""
-    return _batch_default
 
 
 def profile_totals() -> Dict[str, int]:
@@ -632,12 +586,12 @@ class Simulator:
     ``profile=True`` buckets executed events per callback owner into
     :attr:`profile_counts` (and the process-wide :func:`profile_totals`);
     ``trace`` is an optional ``fn(time, seq, owner)`` called for every
-    executed event.  Both force the instrumented run loop, so leave them
-    off for production runs.  :attr:`tracer` holds the per-packet span
-    tracer (:class:`repro.telemetry.SpanTracer`) when one is attached;
-    the kernel itself never touches it — model code checks
-    ``sim.tracer is not None`` at its instrumentation points — so the
-    attribute costs nothing when unset.
+    executed event.  Either one turns on the run loop's per-event hook,
+    so leave them off for production runs.  :attr:`tracer` holds the
+    per-packet span tracer (:class:`repro.telemetry.SpanTracer`) when
+    one is attached; the kernel itself never touches it — model code
+    checks ``sim.tracer is not None`` at its instrumentation points —
+    so the attribute costs nothing when unset.
 
     The determinism contract in two events::
 
@@ -665,7 +619,6 @@ class Simulator:
         "profile_counts",
         "_trace",
         "tracer",
-        "batch",
         "named",
         "__dict__",
     )
@@ -674,7 +627,6 @@ class Simulator:
         self,
         profile: bool = False,
         trace: Optional[Callable[[int, int, str], None]] = None,
-        batch: Optional[bool] = None,
     ):
         self._now = 0
         self._seq = 0
@@ -687,7 +639,6 @@ class Simulator:
         self.profile_counts: Dict[str, int] = {}
         self._trace = trace
         self.tracer = None
-        self.batch = _batch_default if batch is None else bool(batch)
         # Process names only feed the kernel profiler and the raw event
         # trace; when neither is active, hot spawn sites can skip
         # building per-process name strings entirely.
@@ -885,6 +836,17 @@ class Simulator:
 
     # -- execution ----------------------------------------------------------
 
+    def _instrument(self, when: int, seq: int, fn: Callable[..., None]) -> None:
+        """Profile/trace one about-to-execute event (the run loops' hook)."""
+        if self.profile:
+            label = owner_label(fn)
+            counts = self.profile_counts
+            counts[label] = counts.get(label, 0) + 1
+            _profile_totals[label] = _profile_totals.get(label, 0) + 1
+        trace = self._trace
+        if trace is not None:
+            trace(when, seq, owner_label(fn))
+
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Execute events until the queue drains or limits are hit.
 
@@ -895,17 +857,15 @@ class Simulator:
         number of events executed in this call (a guard against
         accidental infinite event loops in tests).
 
+        Each tick drains the due heap entries, then the whole ring (see
+        the module docstring for why that is the ``(time, seq)`` order).
+
         Returns the simulated time at exit.
         """
         global _events_fired_total
         if until is not None and until < self._now:
             return self._now
-        if self.profile or self._trace is not None:
-            if self.batch:
-                return self._run_instrumented_batched(until, max_events)
-            return self._run_instrumented(until, max_events)
-        if self.batch:
-            return self._run_batched(until, max_events)
+        hook = self._instrument if self.profile or self._trace is not None else None
         queue = self._queue
         ring = self._ring
         pop = heappop
@@ -918,154 +878,13 @@ class Simulator:
         pending_before = len(queue) + len(ring)
         try:
             if max_events is None:
-                # The common fast loop: no event budget to track.  A
-                # heap entry precedes the ring only when it is due at
-                # the current tick (its seq is then necessarily
-                # smaller — see the module docstring); ring pops never
-                # touch the clock, and ring events are always <= until.
-                while True:
-                    if ring:
-                        if queue and queue[0][0] <= self._now:
-                            _when, _s, fn, args = pop(queue)
-                        else:
-                            _s, fn, args = popleft()
-                    elif queue:
-                        if until is None:
-                            when, _s, fn, args = pop(queue)
-                            self._now = when
-                        else:
-                            head = queue[0]
-                            when = head[0]
-                            if when > until:
-                                self._now = until
-                                return until
-                            pop(queue)
-                            self._now = when
-                            fn = head[2]
-                            args = head[3]
-                    else:
-                        break
-                    if args:
-                        fn(*args)
-                    else:
-                        fn()
-            else:
-                budget = max_events
-                while True:
-                    if ring:
-                        if budget == 0:
-                            return self._now
-                        budget -= 1
-                        if queue and queue[0][0] <= self._now:
-                            _when, _s, fn, args = pop(queue)
-                        else:
-                            _s, fn, args = popleft()
-                    elif queue:
-                        head = queue[0]
-                        when = head[0]
-                        if until is not None and when > until:
-                            self._now = until
-                            return until
-                        if budget == 0:
-                            return self._now
-                        budget -= 1
-                        pop(queue)
-                        self._now = when
-                        fn = head[2]
-                        args = head[3]
-                    else:
-                        break
-                    if args:
-                        fn(*args)
-                    else:
-                        fn()
-            if until is not None and until > self._now:
-                self._now = until
-            return self._now
-        finally:
-            executed = (self._seq - seq_before) + pending_before - len(queue) - len(ring)
-            self._events_fired += executed
-            _events_fired_total += executed
-
-    def run_until(
-        self, future: Union[Future, ProcessBody], max_events: Optional[int] = None
-    ) -> Any:
-        """Run until ``future`` completes and return its value.
-
-        ``future`` may also be a generator, which is spawned first — so
-        a sub-transaction like ``sim.run_until(port.read(0))`` runs to
-        completion directly.  Raises :class:`SimulationError` if the
-        event queue drains first.
-        """
-        global _events_fired_total
-        if isinstance(future, GeneratorType):
-            future = self.spawn(future).done
-        if self.profile or self._trace is not None:
-            if self.batch:
-                return self._run_until_instrumented_batched(future, max_events)
-            return self._run_until_instrumented(future, max_events)
-        if self.batch:
-            return self._run_until_batched(future, max_events)
-        queue = self._queue
-        ring = self._ring
-        pop = heappop
-        popleft = ring.popleft
-        budget = -1 if max_events is None else max_events
-        seq_before = self._seq
-        pending_before = len(queue) + len(ring)
-        try:
-            while not future._done:
-                if ring:
-                    if budget == 0:
-                        raise SimulationError(f"exceeded max_events={max_events}")
-                    budget -= 1
-                    if queue and queue[0][0] <= self._now:
-                        _when, _s, fn, args = pop(queue)
-                    else:
-                        _s, fn, args = popleft()
-                elif queue:
-                    if budget == 0:
-                        raise SimulationError(f"exceeded max_events={max_events}")
-                    budget -= 1
-                    when, _s, fn, args = pop(queue)
-                    self._now = when
-                else:
-                    raise SimulationError("event queue drained before future completed")
-                if args:
-                    fn(*args)
-                else:
-                    fn()
-            return future.value
-        finally:
-            executed = (self._seq - seq_before) + pending_before - len(queue) - len(ring)
-            self._events_fired += executed
-            _events_fired_total += executed
-
-    # -- batched execution (see "Batched drain" in the module docstring) ----
-
-    def _run_batched(self, until: Optional[int], max_events: Optional[int]) -> int:
-        """The :meth:`run` loop draining whole ticks at a time.
-
-        Order-identical to the per-event fallback: every heap entry due
-        at the current tick precedes every live ring entry (smaller
-        ``seq``), and executed callbacks only append ring entries or
-        push strictly-future heap entries — so the due heap drains
-        first, then the entire ring drains with no merge test per
-        event.
-        """
-        global _events_fired_total
-        queue = self._queue
-        ring = self._ring
-        pop = heappop
-        popleft = ring.popleft
-        seq_before = self._seq
-        pending_before = len(queue) + len(ring)
-        try:
-            if max_events is None:
+                # The common fast loop: no event budget to track.
                 while True:
                     now = self._now
                     while queue and queue[0][0] <= now:
-                        _w, _s, fn, args = pop(queue)
+                        when, seq, fn, args = pop(queue)
+                        if hook is not None:
+                            hook(when, seq, fn)
                         if args:
                             fn(*args)
                         else:
@@ -1073,7 +892,9 @@ class Simulator:
                     # Nothing left can become due at this tick, so the
                     # ring drains unconditionally.
                     while ring:
-                        _s, fn, args = popleft()
+                        seq, fn, args = popleft()
+                        if hook is not None:
+                            hook(now, seq, fn)
                         if args:
                             fn(*args)
                         else:
@@ -1094,16 +915,20 @@ class Simulator:
                         if budget == 0:
                             return now
                         budget -= 1
-                        _w, _s, fn, args = pop(queue)
+                        when, seq, fn, args = pop(queue)
+                        if hook is not None:
+                            hook(when, seq, fn)
                         if args:
                             fn(*args)
                         else:
                             fn()
                     while ring:
                         if budget == 0:
-                            return self._now
+                            return now
                         budget -= 1
-                        _s, fn, args = popleft()
+                        seq, fn, args = popleft()
+                        if hook is not None:
+                            hook(now, seq, fn)
                         if args:
                             fn(*args)
                         else:
@@ -1114,7 +939,7 @@ class Simulator:
                             self._now = until
                             return until
                         if budget == 0:
-                            return self._now
+                            return now
                         self._now = when
                     else:
                         break
@@ -1126,9 +951,21 @@ class Simulator:
             self._events_fired += executed
             _events_fired_total += executed
 
-    def _run_until_batched(self, future: Future, max_events: Optional[int]) -> Any:
-        """The :meth:`run_until` loop with the batched tick drain."""
+    def run_until(
+        self, future: Union[Future, ProcessBody], max_events: Optional[int] = None
+    ) -> Any:
+        """Run until ``future`` completes and return its value.
+
+        ``future`` may also be a generator, which is spawned first — so
+        a sub-transaction like ``sim.run_until(port.read(0))`` runs to
+        completion directly.  Raises :class:`SimulationError` if the
+        event queue drains first.  Same tick drain as :meth:`run`, with
+        the completion test before every event.
+        """
         global _events_fired_total
+        if isinstance(future, GeneratorType):
+            future = self.spawn(future).done
+        hook = self._instrument if self.profile or self._trace is not None else None
         queue = self._queue
         ring = self._ring
         pop = heappop
@@ -1146,7 +983,9 @@ class Simulator:
                         if budget == 0:
                             raise SimulationError(f"exceeded max_events={max_events}")
                         budget -= 1
-                        _w, _s, fn, args = pop(queue)
+                        when, seq, fn, args = pop(queue)
+                        if hook is not None:
+                            hook(when, seq, fn)
                         if args:
                             fn(*args)
                         else:
@@ -1158,7 +997,9 @@ class Simulator:
                         if budget == 0:
                             raise SimulationError(f"exceeded max_events={max_events}")
                         budget -= 1
-                        _s, fn, args = popleft()
+                        seq, fn, args = popleft()
+                        if hook is not None:
+                            hook(now, seq, fn)
                         if args:
                             fn(*args)
                         else:
@@ -1172,177 +1013,5 @@ class Simulator:
             return future.value
         finally:
             executed = (self._seq - seq_before) + pending_before - len(queue) - len(ring)
-            self._events_fired += executed
-            _events_fired_total += executed
-
-    def _run_instrumented_batched(
-        self, until: Optional[int], max_events: Optional[int]
-    ) -> int:
-        """:meth:`_run_batched` with the per-event profile/trace hook.
-
-        Exists so traced runs exercise the *batched* drain logic — the
-        golden-stream equality tests compare this loop's event stream
-        against :meth:`_run_instrumented`'s.
-        """
-        global _events_fired_total
-        queue = self._queue
-        ring = self._ring
-        instrument = self._instrument
-        executed = 0
-        try:
-            while True:
-                now = self._now
-                while queue and queue[0][0] <= now:
-                    if max_events is not None and executed >= max_events:
-                        return now
-                    when, seq, fn, args = heapq.heappop(queue)
-                    executed += 1
-                    instrument(when, seq, fn)
-                    fn(*args)
-                while ring:
-                    if max_events is not None and executed >= max_events:
-                        return now
-                    seq, fn, args = ring.popleft()
-                    executed += 1
-                    instrument(now, seq, fn)
-                    fn(*args)
-                if queue:
-                    when = queue[0][0]
-                    if until is not None and when > until:
-                        self._now = until
-                        return until
-                    if max_events is not None and executed >= max_events:
-                        return self._now
-                    self._now = when
-                else:
-                    break
-            if until is not None and until > self._now:
-                self._now = until
-            return self._now
-        finally:
-            self._events_fired += executed
-            _events_fired_total += executed
-
-    def _run_until_instrumented_batched(
-        self, future: Future, max_events: Optional[int]
-    ) -> Any:
-        """:meth:`_run_until_batched` with the per-event instrumentation hook."""
-        global _events_fired_total
-        queue = self._queue
-        ring = self._ring
-        instrument = self._instrument
-        executed = 0
-        try:
-            while not future._done:
-                now = self._now
-                if queue and queue[0][0] <= now:
-                    while queue and queue[0][0] <= now:
-                        if future._done:
-                            break
-                        if max_events is not None and executed >= max_events:
-                            raise SimulationError(f"exceeded max_events={max_events}")
-                        when, seq, fn, args = heapq.heappop(queue)
-                        executed += 1
-                        instrument(when, seq, fn)
-                        fn(*args)
-                elif ring:
-                    while ring:
-                        if future._done:
-                            break
-                        if max_events is not None and executed >= max_events:
-                            raise SimulationError(f"exceeded max_events={max_events}")
-                        seq, fn, args = ring.popleft()
-                        executed += 1
-                        instrument(now, seq, fn)
-                        fn(*args)
-                elif queue:
-                    if max_events is not None and executed >= max_events:
-                        raise SimulationError(f"exceeded max_events={max_events}")
-                    self._now = queue[0][0]
-                else:
-                    raise SimulationError("event queue drained before future completed")
-            return future.value
-        finally:
-            self._events_fired += executed
-            _events_fired_total += executed
-
-    # -- instrumented execution (profile / trace) ---------------------------
-
-    def _instrument(self, when: int, seq: int, fn: Callable[..., None]) -> None:
-        """Profile/trace one about-to-execute event."""
-        if self.profile:
-            label = owner_label(fn)
-            counts = self.profile_counts
-            counts[label] = counts.get(label, 0) + 1
-            _profile_totals[label] = _profile_totals.get(label, 0) + 1
-        trace = self._trace
-        if trace is not None:
-            trace(when, seq, owner_label(fn))
-
-    def _run_instrumented(self, until: Optional[int], max_events: Optional[int]) -> int:
-        """The :meth:`run` loop with per-event instrumentation.
-
-        Semantically identical to the fast path — same ``(time, seq)``
-        merge of ring and heap, same ``until``/``max_events`` handling —
-        just with the profile/trace hook before each callback.
-        """
-        global _events_fired_total
-        queue = self._queue
-        ring = self._ring
-        executed = 0
-        try:
-            while queue or ring:
-                if ring and (not queue or queue[0][0] > self._now):
-                    from_ring = True
-                    head = ring[0]
-                    when = self._now
-                    seq, fn, args = head
-                else:
-                    from_ring = False
-                    head = queue[0]
-                    when, seq, fn, args = head
-                if until is not None and when > until:
-                    self._now = until
-                    return until
-                if max_events is not None and executed >= max_events:
-                    return self._now
-                if from_ring:
-                    ring.popleft()
-                else:
-                    heapq.heappop(queue)
-                self._now = when
-                executed += 1
-                self._instrument(when, seq, fn)
-                fn(*args)
-            if until is not None and until > self._now:
-                self._now = until
-            return self._now
-        finally:
-            self._events_fired += executed
-            _events_fired_total += executed
-
-    def _run_until_instrumented(self, future: Future, max_events: Optional[int]) -> Any:
-        """The :meth:`run_until` loop with per-event instrumentation."""
-        global _events_fired_total
-        queue = self._queue
-        ring = self._ring
-        executed = 0
-        try:
-            while not future._done:
-                if not ring and not queue:
-                    raise SimulationError("event queue drained before future completed")
-                if max_events is not None and executed >= max_events:
-                    raise SimulationError(f"exceeded max_events={max_events}")
-                if ring and (not queue or queue[0][0] > self._now):
-                    seq, fn, args = ring.popleft()
-                    when = self._now
-                else:
-                    when, seq, fn, args = heapq.heappop(queue)
-                    self._now = when
-                executed += 1
-                self._instrument(when, seq, fn)
-                fn(*args)
-            return future.value
-        finally:
             self._events_fired += executed
             _events_fired_total += executed

@@ -129,15 +129,6 @@ class TestJobVerbs:
             run = api.run_experiment(["table1"])
         assert "table1" in run.records
 
-    def test_run_experiment_jobs_kwarg_warns(self):
-        with pytest.deprecated_call(match="api.submit"):
-            run = api.run_experiment(["table1"], jobs=1)
-        assert "table1" in run.records
-
-    def test_run_experiment_jobs_still_validates(self):
-        with pytest.deprecated_call(), pytest.raises(ValueError):
-            api.run_experiment(["table1"], jobs=0)
-
 
 class TestTopLevelExports:
     def test_lazy_api_attribute(self):
@@ -167,47 +158,3 @@ class TestTopLevelExports:
             env=env, capture_output=True, text=True, check=True,
         ).stdout
         assert out.strip() == "[]"
-
-
-class TestDeprecationShims:
-    def test_scenario_run_scenario_warns_and_works(self, spec):
-        import repro.scenario as scenario
-
-        with pytest.deprecated_call(match="repro.api.simulate"):
-            run_scenario = scenario.run_scenario
-        with pytest.deprecated_call(match="repro.api.simulate"):
-            result = run_scenario(spec)
-        assert result.to_dict() == api.simulate(spec).to_dict()
-
-    def test_scenario_apply_overrides_warns(self):
-        import repro.scenario as scenario
-
-        with pytest.deprecated_call(match="repro.params.apply_overrides"):
-            shim = scenario.apply_overrides
-        from repro.params import apply_overrides
-
-        assert shim is apply_overrides
-
-    def test_scenario_format_report_warns(self, spec):
-        import repro.scenario as scenario
-
-        with pytest.deprecated_call(match="repro.api.format_report"):
-            shim = scenario.format_report
-        assert "api-twonode" in shim(api.simulate(spec))
-
-    def test_experiments_run_experiments_warns(self):
-        import repro.experiments as experiments
-
-        with pytest.deprecated_call(match="repro.api.run_experiment"):
-            run_experiments = experiments.run_experiments
-        run = run_experiments(["table1"])
-        assert run.to_artifact()["experiments"]["table1"]["metrics"]
-
-    def test_experiments_load_artifact_warns(self, tmp_path):
-        import repro.experiments as experiments
-
-        path = tmp_path / "artifact.json"
-        path.write_text(json.dumps(api.run_experiment(["table1"]).to_artifact()))
-        with pytest.deprecated_call(match="repro.api.load_artifact"):
-            load_artifact = experiments.load_artifact
-        assert load_artifact(str(path))["experiments"]["table1"]["metrics"]

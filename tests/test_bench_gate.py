@@ -2,11 +2,11 @@
 
 ``tests/test_harness.py`` unit-tests :func:`append_bench_run` and
 :func:`check_bench_regression` in isolation; this file pins the whole
-CI workflow those pieces compose into — the two-lane recording the
-bench job performs (fallback kernel run, then batched kernel run, each
-appended with a ``kernel_batch`` meta flag) followed by the hardened
-gate, including the required-speedup check that keeps the batched
-drain path honest.
+CI workflow those pieces compose into — two runs appended to one
+trajectory (in CI's bench job, the base commit's run and then HEAD's,
+on the same runner; here with a caller-supplied ``kernel_batch`` meta
+flag standing for any per-run label) followed by the hardened gate,
+including the ``--expect-improvement`` required-speedup check.
 """
 
 import json
@@ -36,16 +36,16 @@ def record(test, rate, events=94886):
     }
 
 
-def two_lane_trajectory(path, fallback_rate, batched_rate):
-    """Record a fallback run then a batched run, like CI's bench job."""
+def two_lane_trajectory(path, base_rate, head_rate):
+    """Record a baseline run then a newer run, like CI's bench job."""
     append_bench_run(
         str(path),
-        [record(INCAST, fallback_rate)],
+        [record(INCAST, base_rate)],
         meta={"exitstatus": 0, "tests": 1, "kernel_batch": False},
     )
     return append_bench_run(
         str(path),
-        [record(INCAST, batched_rate)],
+        [record(INCAST, head_rate)],
         meta={"exitstatus": 0, "tests": 1, "kernel_batch": True},
     )
 

@@ -1,6 +1,7 @@
 """Bank state machine: row-buffer management and DDR timing."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.dram.bank import Bank
 from repro.params import ddr4_2400
@@ -20,7 +21,7 @@ class TestRowBufferState:
 
     def test_first_access_opens_row(self, bank):
         bank.access_ready_time(0, row=5, is_write=False)
-        assert bank.is_open(5)
+        assert bank.open_row == 5
 
     def test_classify_hit_when_open(self, bank):
         bank.access_ready_time(0, row=5, is_write=False)
@@ -106,3 +107,49 @@ class TestCounters:
         for _ in range(3):
             bank.access_ready_time(0, row=1, is_write=False)
         assert bank.hit_rate() == pytest.approx(0.75)
+
+
+_accesses = st.tuples(
+    st.integers(0, 400), st.integers(0, 3), st.booleans()
+)
+"""One access: (ticks since the previous one, row, is_write)."""
+
+
+def _replay(bank, history):
+    now = 0
+    for gap, row, is_write in history:
+        now += gap
+        bank.access_ready_time(now, row, is_write)
+    return now
+
+
+def _state(bank):
+    return tuple(getattr(bank, slot) for slot in Bank.__slots__)
+
+
+class TestAccessReadyBatch:
+    @given(
+        history=st.lists(_accesses, max_size=8),
+        gap=st.integers(0, 400),
+        row=st.integers(0, 3),
+        is_write=st.booleans(),
+        count=st.integers(1, 64),
+        after=st.lists(_accesses, max_size=4),
+    )
+    def test_equals_count_single_accesses(
+        self, history, gap, row, is_write, count, after
+    ):
+        batched, single = Bank(ddr4_2400()), Bank(ddr4_2400())
+        now = _replay(batched, history) + gap
+        assert _replay(single, history) + gap == now
+        times = batched.access_ready_batch(now, row, is_write, count)
+        assert times == [
+            single.access_ready_time(now, row, is_write) for _ in range(count)
+        ]
+        assert _state(batched) == _state(single)
+        # Later accesses see the same bank either way.
+        later = [(now + gap, row, w) for gap, row, w in after]
+        assert [batched.access_ready_time(*a) for a in later] == [
+            single.access_ready_time(*a) for a in later
+        ]
+        assert _state(batched) == _state(single)

@@ -1,11 +1,12 @@
 """FR-FCFS memory controller: latency, bandwidth, scheduling."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.dram.controller import MemoryController, MemRequest
 from repro.params import ddr4_2400, ddr5_4800
 from repro.sim import Simulator
-from repro.units import CACHELINE, to_ns
+from repro.units import CACHELINE, PAGE, to_ns
 
 
 @pytest.fixture
@@ -14,23 +15,42 @@ def mc(sim):
 
 
 class TestMemRequest:
-    def test_single_line(self):
+    def test_single_line(self, mc):
         request = MemRequest(address=0, is_write=False)
         assert request.num_lines == 1
-        assert request.line_addresses() == [0]
+        assert [count for _bank, _row, count in mc._request_runs(request)] == [1]
 
     def test_mtu_spans_24_lines(self):
         request = MemRequest(address=0, is_write=False, size_bytes=1514)
         assert request.num_lines == 24
 
-    def test_line_addresses_aligned(self):
-        request = MemRequest(address=100, is_write=False, size_bytes=128)
-        assert all(address % CACHELINE == 0 for address in request.line_addresses())
+    @given(address=st.integers(0, 1 << 24), size_bytes=st.integers(1, 3 * PAGE))
+    def test_line_addresses_aligned(self, address, size_bytes):
+        """The runs walk ``num_lines`` lines from the request's
+        cacheline-aligned base."""
+        mc = MemoryController(Simulator(), "mc", ddr4_2400())
+        request = MemRequest(address=address, is_write=False, size_bytes=size_bytes)
+        runs = mc._request_runs(request)
+        assert runs[0][:2] == mc._coords(address - address % CACHELINE)
+        assert sum(count for _bank, _row, count in runs) == request.num_lines
 
-    def test_line_addresses_consecutive(self):
-        request = MemRequest(address=0, is_write=False, size_bytes=256)
-        addresses = request.line_addresses()
-        assert addresses == [0, 64, 128, 192]
+    @given(address=st.integers(0, 1 << 24), size_bytes=st.integers(1, 3 * PAGE))
+    def test_line_addresses_consecutive(self, address, size_bytes):
+        """Consecutive lines share a run until a page boundary."""
+        mc = MemoryController(Simulator(), "mc", ddr4_2400())
+        request = MemRequest(address=address, is_write=False, size_bytes=size_bytes)
+        line = address - address % CACHELINE
+        runs = mc._request_runs(request)
+        for index, (bank, row, count) in enumerate(runs):
+            # Each run starts where the previous one stopped, stays in
+            # one page and carries its (bank, row), and runs to the page
+            # end unless it is the last.
+            assert (bank, row) == mc._coords(line)
+            end = line + count * CACHELINE
+            assert (end - 1) // PAGE == line // PAGE
+            if index < len(runs) - 1:
+                assert end % PAGE == 0
+            line = end
 
 
 class TestLatency:

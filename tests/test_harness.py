@@ -40,22 +40,9 @@ class TestHarnessRun:
         return harness.run_experiments(FAST_NAMES, config=SweepConfig())
 
     def test_jobs_must_be_positive(self):
-        # The legacy kwarg still validates — after warning about itself.
-        with pytest.deprecated_call(), pytest.raises(ValueError):
-            harness.run_experiments(["table1"], jobs=0)
-
-    def test_legacy_jobs_kwarg_warns_and_matches_config_form(self, serial):
-        with pytest.deprecated_call(match="SweepConfig"):
-            legacy = harness.run_experiments(FAST_NAMES, jobs=1)
-        assert (
-            legacy.to_artifact()["experiments"]
-            == serial.to_artifact()["experiments"]
-        )
-
-    def test_config_and_legacy_kwargs_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
             harness.run_experiments(
-                ["table1"], jobs=2, config=SweepConfig()
+                ["table1"], config=SweepConfig(backend="pool", jobs=0)
             )
 
     def test_report_matches_serial_runner(self, serial):

@@ -31,14 +31,19 @@ class TestEthernetWire:
 
     def test_same_direction_packets_serialize(self, sim):
         wire = EthernetWire(sim, "w")
-        both = sim.all_of([wire.transmit(1514), wire.transmit(1514)])
+        both = sim.all_of(
+            [sim.spawn(wire.transmit(1514)).done, sim.spawn(wire.transmit(1514)).done]
+        )
         sim.run_until(both)
         assert sim.now == wire.latency(1514) + wire.serialization_ticks(1514)
 
     def test_opposite_directions_independent(self, sim):
         wire = EthernetWire(sim, "w")
         both = sim.all_of(
-            [wire.transmit(1514), wire.transmit(1514, reverse=True)]
+            [
+                sim.spawn(wire.transmit(1514)).done,
+                sim.spawn(wire.transmit(1514, reverse=True)).done,
+            ]
         )
         sim.run_until(both)
         assert sim.now == wire.latency(1514)
@@ -74,7 +79,10 @@ class TestSwitch:
     def test_egress_contention(self, sim):
         switch = Switch(sim, "s")
         both = sim.all_of(
-            [switch.forward(1514, "p0"), switch.forward(1514, "p0")]
+            [
+                sim.spawn(switch.forward(1514, "p0")).done,
+                sim.spawn(switch.forward(1514, "p0")).done,
+            ]
         )
         sim.run_until(both)
         assert sim.now > switch.hop_latency(1514)
@@ -82,7 +90,10 @@ class TestSwitch:
     def test_different_ports_no_contention(self, sim):
         switch = Switch(sim, "s")
         both = sim.all_of(
-            [switch.forward(1514, "p0"), switch.forward(1514, "p1")]
+            [
+                sim.spawn(switch.forward(1514, "p0")).done,
+                sim.spawn(switch.forward(1514, "p1")).done,
+            ]
         )
         sim.run_until(both)
         assert sim.now == switch.hop_latency(1514)

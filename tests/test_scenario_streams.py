@@ -27,7 +27,7 @@ import struct
 
 import pytest
 
-from repro.sim import engine
+from tests.drive import DRIVES, driven
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN_PATH = REPO_ROOT / "tests" / "data" / "golden_scenario_streams.json"
@@ -121,30 +121,24 @@ def stream_cases():
     return cases
 
 
-def record_case(make_spec, batch=None) -> dict:
+def record_case(make_spec, drive="batched") -> dict:
     """Run one scenario under a ``(time, seq)`` digest; return its record.
 
-    ``batch`` selects the kernel lane through the process-wide default
-    (so every model picks the matching lane at construction); ``None``
-    keeps the current default.
+    ``drive`` is a :data:`tests.drive.DRIVES` value: ``per-event`` runs
+    the scenario one event per kernel call.
     """
     from repro.scenario import build_scenario
 
     digest = hashlib.sha256()
     pack = struct.Struct("<qq").pack
     update = digest.update
-    previous = engine.batching_enabled()
-    if batch is not None:
-        engine.set_batch_default(batch)
-    try:
-        scenario = build_scenario(make_spec())
-        scenario.sim._trace = lambda when, seq, _owner: update(pack(when, seq))
-        scenario.run()
-    finally:
-        engine.set_batch_default(previous)
+    scenario = build_scenario(make_spec())
+    sim = driven(drive, scenario.sim)
+    sim._trace = lambda when, seq, _owner: update(pack(when, seq))
+    scenario.run()
     return {
-        "events": scenario.sim.events_fired,
-        "final_now": scenario.sim.now,
+        "events": sim.events_fired,
+        "final_now": sim.now,
         "sha256": digest.hexdigest(),
     }
 
@@ -168,8 +162,8 @@ def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(name for name, _ in _CASES)
 
 
-@pytest.mark.parametrize("batch", [True, False], ids=["batched", "per-event"])
+@DRIVES
 @pytest.mark.parametrize("case", _CASES, ids=[name for name, _ in _CASES])
-def test_stream_matches_golden(golden, case, batch):
+def test_stream_matches_golden(golden, case, drive):
     name, make_spec = case
-    assert record_case(make_spec, batch=batch) == golden[name]
+    assert record_case(make_spec, drive) == golden[name]

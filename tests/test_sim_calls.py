@@ -5,8 +5,8 @@ stream, and return the identical values, as ``yield sim.spawn(g).done``
 (spawn the sub-transaction as a process of its own, then wait for it):
 the callee's first step takes the ring slot the spawn took, and its
 return takes the slot the done-future's resume took.  These tests pin
-that on random process trees under both kernel lanes, plus nested calls
-and exception propagation.
+that on random process trees, driven in whole ticks and one event per
+kernel call, plus nested calls and exception propagation.
 """
 
 import gc
@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Future, SimulationError, Simulator
-
-LANES = pytest.mark.parametrize("batch", [True, False], ids=["batched", "per-event"])
+from tests.drive import DRIVES, driven
 
 
 class TreeError(Exception):
@@ -74,11 +73,12 @@ def tree_body(sim, tree, mode, path="r"):
     return (path, sim.now, log)
 
 
-def run_forest(forest, mode, batch):
+def run_forest(forest, mode, drive):
     """Run each tree as a root process; return (stream, outcomes)."""
     stream = []
-    sim = Simulator(trace=lambda when, seq, _owner: stream.append((when, seq)),
-                    batch=batch)
+    sim = driven(
+        drive, Simulator(trace=lambda when, seq, _owner: stream.append((when, seq)))
+    )
     roots = [
         sim.spawn(tree_body(sim, tree, mode, f"r{index}"))
         for index, tree in enumerate(forest)
@@ -92,16 +92,16 @@ def run_forest(forest, mode, batch):
 
 
 class TestCallMatchesSpawnAwait:
-    @LANES
+    @DRIVES
     @settings(max_examples=150, deadline=None)
     @given(forest=st.lists(trees, min_size=1, max_size=3))
-    def test_random_trees_identical(self, forest, batch):
-        called = run_forest(forest, "call", batch)
-        spawned = run_forest(forest, "spawn", batch)
+    def test_random_trees_identical(self, forest, drive):
+        called = run_forest(forest, "call", drive)
+        spawned = run_forest(forest, "spawn", drive)
         assert called == spawned
 
-    @LANES
-    def test_fixed_tree_identical_and_nontrivial(self, batch):
+    @DRIVES
+    def test_fixed_tree_identical_and_nontrivial(self, drive):
         tree = [
             ("sleep", 3),
             ("call", [("floor",), ("call", [("sleep", 2)]), ("wait", 1)]),
@@ -109,8 +109,8 @@ class TestCallMatchesSpawnAwait:
             ("call", [("sleep", 1), ("raise",)]),
             ("call", []),
         ]
-        called = run_forest([tree, tree], "call", batch)
-        assert called == run_forest([tree, tree], "spawn", batch)
+        called = run_forest([tree, tree], "call", drive)
+        assert called == run_forest([tree, tree], "spawn", drive)
         stream, outcomes, _now = called
         assert len(stream) > 20
         path, now, log = outcomes[0]
@@ -119,9 +119,9 @@ class TestCallMatchesSpawnAwait:
 
 
 class TestNestedCalls:
-    @LANES
-    def test_values_flow_back_through_every_level(self, batch):
-        sim = Simulator(batch=batch)
+    @DRIVES
+    def test_values_flow_back_through_every_level(self, drive):
+        sim = driven(drive, Simulator())
 
         def leaf(value):
             yield 10
@@ -139,9 +139,9 @@ class TestNestedCalls:
 
         assert sim.run_until(top()) == (24, 40)
 
-    @LANES
-    def test_deep_recursion_stays_one_process(self, batch):
-        sim = Simulator(batch=batch)
+    @DRIVES
+    def test_deep_recursion_stays_one_process(self, drive):
+        sim = driven(drive, Simulator())
         spawned = []
         original = Simulator.spawn
 
@@ -187,9 +187,9 @@ class TestNestedCalls:
 
 
 class TestCalleeExceptions:
-    @LANES
-    def test_exception_surfaces_at_the_callers_yield(self, batch):
-        sim = Simulator(batch=batch)
+    @DRIVES
+    def test_exception_surfaces_at_the_callers_yield(self, drive):
+        sim = driven(drive, Simulator())
 
         def callee():
             yield 3
@@ -204,9 +204,9 @@ class TestCalleeExceptions:
 
         assert sim.run_until(caller()) == ("media fault", 3)
 
-    @LANES
-    def test_exception_passes_through_uncaught_frames(self, batch):
-        sim = Simulator(batch=batch)
+    @DRIVES
+    def test_exception_passes_through_uncaught_frames(self, drive):
+        sim = driven(drive, Simulator())
 
         def bottom():
             yield 1

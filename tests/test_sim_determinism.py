@@ -10,6 +10,9 @@ never change which event fires when.  These tests pin that promise:
   prioritized resources, pipes, queues — under a trace hook and compares
   the executed ``(time, seq, owner)`` stream against a golden recorded
   on the pre-optimization kernel (``tests/data/golden_event_order.json``).
+* ``test_both_drain_modes_match_golden`` replays it once through single
+  kernel calls that drain whole ticks and once one event per kernel
+  call, and requires the golden stream from both.
 * ``test_fig5_artifact_matches_baseline`` runs the fig5 experiment
   through the harness and diffs its artifact against a baseline written
   by the pre-optimization kernel — metric-for-metric equality, not just
@@ -25,7 +28,7 @@ import pathlib
 import pytest
 
 from repro.sim import Pipe, Queue, Resource, Simulator
-from repro.sim import engine
+from tests.drive import driven
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 GOLDEN_PATH = DATA_DIR / "golden_event_order.json"
@@ -97,12 +100,15 @@ def drive(sim: Simulator, root) -> int:
     return sim.now
 
 
-def record_stream(batch=None):
-    """Execute the workload under trace; return (events, final_now, count)."""
+def record_stream(mode="batched"):
+    """Execute the workload under trace; return (events, final_now, count).
+
+    ``mode`` is a :data:`tests.drive.DRIVES` value.
+    """
     events = []
-    sim = Simulator(
-        trace=lambda when, seq, owner: events.append([when, seq, owner]),
-        batch=batch,
+    sim = driven(
+        mode,
+        Simulator(trace=lambda when, seq, owner: events.append([when, seq, owner])),
     )
     root = mixed_workload(sim)
     final_now = drive(sim, root)
@@ -124,75 +130,15 @@ class TestGoldenEventOrder:
     def test_stream_is_repeatable(self):
         assert record_stream() == record_stream()
 
-    @pytest.mark.parametrize("batch", [True, False])
-    def test_both_drain_modes_match_golden(self, batch):
+    @pytest.mark.parametrize("stepped", [True, False])
+    def test_both_drain_modes_match_golden(self, stepped):
         golden = json.loads(GOLDEN_PATH.read_text())
-        events, final_now, fired = record_stream(batch=batch)
+        events, final_now, fired = record_stream(
+            "per-event" if stepped else "batched"
+        )
         assert final_now == golden["final_now"]
         assert fired == golden["events_fired"]
         assert events == golden["events"]
-
-
-def scenario_stream(seed: int, batched: bool):
-    """Run a small seeded incast; return its traced event stream as bytes.
-
-    The batch mode is set through the process-wide default so every
-    component (switch, fabric, DRAM controller, NVDIMM-P port, PCIe
-    link) selects its matching lane at construction, exactly as a real
-    run would.
-    """
-    from repro.scenario import (
-        FabricSpec,
-        NodeSpec,
-        ScenarioSpec,
-        TrafficSpec,
-        build_scenario,
-    )
-
-    spec = ScenarioSpec(
-        name=f"batch-parity-{seed}",
-        seed=seed,
-        nodes=tuple(
-            NodeSpec(name=f"h{index}", nic_kind="netdimm") for index in range(4)
-        ),
-        fabric=FabricSpec(kind="clos", hosts_per_rack=4, queue_depth=8),
-        traffic=(
-            TrafficSpec(
-                kind="incast",
-                dst="h0",
-                packets=8,
-                size_bytes=1024,
-                mean_interarrival_ns=2000.0,
-                label="incast",
-            ),
-        ),
-    )
-    events = []
-    previous = engine.batching_enabled()
-    engine.set_batch_default(batched)
-    try:
-        scenario = build_scenario(spec)
-        assert scenario.sim.batch is batched
-        scenario.sim._trace = lambda when, seq, owner: events.append(
-            [when, seq, owner]
-        )
-        result = scenario.run()
-    finally:
-        engine.set_batch_default(previous)
-    summary = (result.packets_delivered, result.events_fired, result.flows)
-    return json.dumps(events).encode(), summary
-
-
-class TestBatchFallbackParity:
-    """The tentpole contract: batched drain == per-packet fallback,
-    byte for byte, on full cluster simulations."""
-
-    @pytest.mark.parametrize("seed", [1, 11, 2019])
-    def test_event_streams_byte_identical_across_seeds(self, seed):
-        batched_stream, batched_summary = scenario_stream(seed, batched=True)
-        fallback_stream, fallback_summary = scenario_stream(seed, batched=False)
-        assert batched_stream == fallback_stream
-        assert batched_summary == fallback_summary
 
 
 class TestFig5ArtifactEquality:

@@ -3,15 +3,20 @@
 Covers the behaviors the microbenchmark-driven kernel cannot be allowed
 to bend: the clock-rewind fix, past-tick scheduling errors, the future
 free-list pool (explicit and refcount-checked recycling), deep
-prioritized waiter queues, opt-in profiling/tracing, and exact event
-accounting across the ring/heap split.
+prioritized waiter queues, opt-in profiling/tracing, exact event
+accounting across the ring/heap split, and the tick drain's order
+against the per-event merge loop it replaced.
 """
 
+from heapq import heappop
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim import Component, Queue, Resource, Simulator
 from repro.sim import engine
 from repro.sim.engine import SimulationError
+from tests.drive import driven
 
 
 class TestClockNeverRewinds:
@@ -292,23 +297,6 @@ class TestComponentSpawn:
 
 
 class TestBatchedDrain:
-    def test_batch_default_is_overridable(self):
-        # The process default comes from REPRO_KERNEL_BATCH (on unless
-        # explicitly disabled), so assert relative to the initial value.
-        initial = engine.batching_enabled()
-        assert Simulator().batch is initial
-        try:
-            engine.set_batch_default(False)
-            assert not engine.batching_enabled()
-            assert not Simulator().batch
-            assert Simulator(batch=True).batch
-            engine.set_batch_default(True)
-            assert engine.batching_enabled()
-            assert Simulator().batch
-            assert not Simulator(batch=False).batch
-        finally:
-            engine.set_batch_default(initial)
-
     def test_schedule_batch_same_tick_preserves_order(self, sim):
         fired = []
         count = sim.schedule_batch(0, ((fired.append, (i,)) for i in range(5)))
@@ -362,9 +350,9 @@ class TestBatchedDrain:
         with pytest.raises(SimulationError, match="past"):
             sim.schedule_batch_at(5, [(print, ())])
 
-    @pytest.mark.parametrize("batch", [True, False])
-    def test_accounting_identical_across_modes(self, batch):
-        sim = Simulator(batch=batch)
+    @pytest.mark.parametrize("stepped", [True, False])
+    def test_accounting_identical_across_modes(self, stepped):
+        sim = driven("per-event" if stepped else "batched", Simulator())
         bus = Resource(sim, "bus")
         mailbox = Queue(sim, "mailbox")
 
@@ -381,13 +369,13 @@ class TestBatchedDrain:
         sim.spawn(producer(), name="prod")
         sim.spawn(consumer(), name="cons")
         final = sim.run()
-        # The same workload under either drain loop fires the same
-        # events and lands on the same tick (pinned in full by
-        # tests/test_sim_determinism.py).
+        # The same workload drained in whole ticks or one event per
+        # kernel call fires the same events and lands on the same tick
+        # (pinned in full by tests/test_sim_determinism.py).
         assert (final, sim.events_fired) == (15, 42)
 
     def test_max_events_budget_respected_in_batch_mode(self):
-        sim = Simulator(batch=True)
+        sim = Simulator()
         fired = []
         for index in range(4):
             sim.schedule(0, fired.append, index)
@@ -455,3 +443,126 @@ class TestEventAccounting:
         sim.spawn(proc())
         assert sim.run_until(done, max_events=10) == "ok"
         assert sim.events_fired == 3
+
+
+def oracle_run(sim, until=None, max_events=None, future=None):
+    """The per-event merge loop the tick drain replaced, kept as the
+    reference order: before every event, the heap head goes first if it
+    is due at the current tick, else the ring head.  Records each
+    executed ``(time, seq)`` in ``sim.oracle_stream``."""
+    if until is not None and until < sim._now:
+        return
+    queue, ring = sim._queue, sim._ring
+    executed = 0
+    while (queue or ring) and not (future is not None and future.done):
+        from_ring = bool(ring) and (not queue or queue[0][0] > sim._now)
+        if from_ring:
+            when, (seq, fn, args) = sim._now, ring[0]
+        else:
+            when, seq, fn, args = queue[0]
+        if until is not None and when > until:
+            break
+        if max_events is not None and executed >= max_events:
+            return
+        ring.popleft() if from_ring else heappop(queue)
+        sim._now = when
+        executed += 1
+        sim.oracle_stream.append((when, seq))
+        fn(*args)
+    if until is not None and until > sim._now:
+        sim._now = until
+
+
+# A schedule is a forest of callbacks; each fires after its delay and
+# then schedules its children.  Zero delays land on the same-tick ring,
+# nonzero ones on the heap, so ticks mix both.
+_delays = st.sampled_from([0, 0, 1, 2, 7])
+_schedules = st.lists(
+    st.recursive(
+        st.tuples(_delays, st.just(())),
+        lambda children: st.tuples(_delays, st.lists(children, max_size=3)),
+        max_leaves=25,
+    ),
+    min_size=1,
+    max_size=5,
+)
+# How the schedule is driven: a sequence of kernel calls, then run().
+_legs = st.lists(
+    st.one_of(
+        st.tuples(st.just("run"), st.none()),
+        st.tuples(st.just("until"), st.integers(0, 30)),
+        st.tuples(st.just("max_events"), st.integers(0, 6)),
+        st.tuples(st.just("run_until"), st.integers(0, 10)),
+    ),
+    max_size=5,
+)
+
+
+def _install(sim, schedule, log):
+    def fire(node, label):
+        log.append((sim.now, label))
+        for index, child in enumerate(node[1]):
+            sim.schedule(child[0], fire, child, f"{label}.{index}")
+
+    for index, node in enumerate(schedule):
+        sim.schedule(node[0], fire, node, str(index))
+
+
+def _drive(schedule, legs, kernel, traced):
+    """Run ``schedule`` through ``legs``; return the callback log, the
+    executed (time, seq) stream (traced or oracle runs) and the clock
+    after every leg."""
+    stream = []
+    if kernel:
+        sim = Simulator(trace=(lambda when, seq, _o: stream.append((when, seq)))
+                        if traced else None)
+    else:
+        sim = Simulator()
+        sim.oracle_stream = stream
+    log = []
+    _install(sim, schedule, log)
+    clocks = []
+    for kind, value in list(legs) + [("run", None)]:
+        if kind == "run_until":
+            target = sim.timeout(value)
+        if kernel:
+            if kind == "run":
+                sim.run()
+            elif kind == "until":
+                sim.run(until=value)
+            elif kind == "max_events":
+                sim.run(max_events=value)
+            else:
+                sim.run_until(target)
+        elif kind == "run_until":
+            oracle_run(sim, future=target)
+        else:
+            oracle_run(
+                sim,
+                until=value if kind == "until" else None,
+                max_events=value if kind == "max_events" else None,
+            )
+        clocks.append(sim.now)
+    return log, stream, clocks
+
+
+class TestTickDrainMatchesPerEventOracle:
+    @pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
+    @settings(max_examples=200, deadline=None)
+    @given(schedule=_schedules, legs=_legs)
+    # Re-entry with heap entries still due at the current tick and ring
+    # entries queued behind them: the budget runs out after the first
+    # tick-1 callback, which queued a zero-delay child.
+    @example(
+        schedule=[(1, [(0, ())]), (1, [(0, ())]), (1, ())],
+        legs=[("max_events", 1), ("run_until", 0)],
+    )
+    def test_every_entry_point_fires_the_oracle_order(self, schedule, legs, traced):
+        log, stream, clocks = _drive(schedule, legs, kernel=True, traced=traced)
+        oracle_log, oracle_stream, oracle_clocks = _drive(
+            schedule, legs, kernel=False, traced=False
+        )
+        assert log == oracle_log
+        assert clocks == oracle_clocks
+        if traced:
+            assert stream == oracle_stream

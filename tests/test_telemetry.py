@@ -213,7 +213,7 @@ class TestLossyDropVisibility:
         outcomes = []
 
         def sender(uid):
-            forwarded = yield from switch.forward_transit(
+            forwarded = yield from switch.forward(
                 1024, "p0", tracer=tracer, uid=uid
             )
             outcomes.append((uid, forwarded))
